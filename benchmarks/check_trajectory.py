@@ -1,8 +1,8 @@
 """Consolidated benchmark-trajectory gate.
 
 Each perf PR in this repo lands with its own benchmark (E22 fast path,
-E25 zero-copy data plane, E26 parse engine v2, E27 parse engine v3,
-E28 parse engine v4) and each benchmark asserts its own acceptance
+E25 zero-copy data plane, E27 parse engine v3, E28 parse engine v4)
+and each benchmark asserts its own acceptance
 bars when it runs.  This script is the belt to those braces: it
 re-reads the ``BENCH_*.json`` reports the benchmarks just wrote and
 re-asserts every bar in one place, so a regression in an *older*
@@ -93,23 +93,6 @@ def check_zerocopy(report):
                 f"parallel-4 only {best:.2f}x vs batch on "
                 f"{section['visible_cpus']} CPUs (bar 3.0x)"
             )
-
-
-@experiment("E26 parse engine v2 — BENCH_parse_v2.json")
-def check_parse_v2(report):
-    bar = 3.0 if report["scale"] >= report["full_scale"] else 1.3
-    speedup = report["warm_parse"]["lazy_speedup"]
-    if speedup < bar:
-        yield (
-            f"lazy warm-parse speedup {speedup:.2f}x < {bar}x "
-            f"at scale {report['scale']}"
-        )
-    for run in report["clean_runs"]:
-        if run["lazy_hits"] + run["eager"] != run["records_out"]:
-            yield f"{run['mode']}: lazy/eager split does not cover the output"
-    yield from _clean_run_bars(
-        report["clean_runs"], "identical_to_reference", "metrics_match_reference"
-    )
 
 
 @experiment("E27 parse engine v3 — BENCH_parse_v3.json")

@@ -51,7 +51,7 @@ from .obs import (
 )
 from .pipeline.api import clean
 from .pipeline.config import ExecutionConfig, PipelineConfig
-from .pipeline.framework import CleaningPipeline, PipelineResult, clean_log
+from .pipeline.framework import CleaningPipeline, PipelineResult
 from .pipeline.parallel import ParallelCleaner, ParallelStats
 from .pipeline.streaming import StreamingCleaner, StreamingStats
 from .store import (
@@ -66,7 +66,7 @@ from .store import (
     write_columnar,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "LogRecord",
@@ -100,6 +100,5 @@ __all__ = [
     "write_columnar",
     "RunCheckpoint",
     "CheckpointError",
-    "clean_log",
     "__version__",
 ]

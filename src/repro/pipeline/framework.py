@@ -169,9 +169,9 @@ def parse_log(
     template and clause features and only swaps in its own log record.
 
     With a :class:`~repro.skeleton.cache.TemplateCache` the reuse goes
-    further: statements that differ *only in constants* are instantiated
-    from the cached template of their fingerprint class in one lexer
-    pass, skipping the parser entirely (the fast path).  The cache
+    further: statements that differ *only in constants* are bound to the
+    cached template of their fingerprint class in one scanner pass,
+    skipping the parser entirely (the fast path).  The cache
     object may outlive this call (streaming feeds one record at a time);
     a given cache must only ever serve one ``(fold_variables,
     strict_triple)`` combination, which holds because every caller
@@ -197,12 +197,12 @@ def parse_log(
     verified its id against this run's interner, and an interner never
     forgets an id within a run.)
 
-    A *lazy* cache (``TemplateCache(lazy=True)``) makes fingerprint hits
-    emit :class:`~repro.skeleton.cache.LazyParsedQuery` objects that
-    defer the splice and the AST until a downstream consumer actually
-    touches them; the count of lazy emissions is booked as
-    ``parse_lazy_hits`` (with ``parse_eager`` its complement, so
-    ``parse_lazy_hits + parse_eager == records_out`` is a ledger law).
+    Fingerprint hits emit :class:`~repro.skeleton.cache.LazyParsedQuery`
+    objects that defer the splice and the AST until a downstream
+    consumer actually touches them; the count of lazy emissions is
+    booked as ``parse_lazy_hits`` (with ``parse_eager`` — queries
+    emitted fully built — its complement, so ``parse_lazy_hits +
+    parse_eager == records_out`` is a ledger law).
 
     Every statement that reaches the full parser — a cache miss's
     one-shot :meth:`~repro.skeleton.cache.TemplateCache.build`, or a
@@ -254,7 +254,7 @@ def parse_log(
                             # One-shot cold path: the scanner pass the
                             # miss already paid for feeds the parser,
                             # and template/clauses/splice come from a
-                            # single normalisation (parse engine v3).
+                            # single marker rendering.
                             cached = cache.build(
                                 record,
                                 fold_variables=fold_variables,
@@ -357,9 +357,7 @@ def parse_stage(
     """
     execution = config.execution
     if cache is None and execution.parse_cache:
-        cache = TemplateCache(
-            execution.parse_cache_size, lazy=execution.lazy_parse
-        )
+        cache = TemplateCache(execution.parse_cache_size)
     return parse_log(
         log,
         fold_variables=config.fold_variables,
@@ -647,7 +645,7 @@ class CleaningPipeline:
         # can read back how many lazy queries the *downstream* stages
         # forced to materialise, once they have all executed.
         cache = (
-            TemplateCache(execution.parse_cache_size, lazy=execution.lazy_parse)
+            TemplateCache(execution.parse_cache_size)
             if execution.parse_cache
             else None
         )
@@ -711,19 +709,3 @@ class CleaningPipeline:
             interner=interner,
             quarantine=channel,
         )
-
-
-def clean_log(log: QueryLog, config: Optional[PipelineConfig] = None) -> QueryLog:
-    """Deprecated one-call convenience — use :func:`repro.clean`.
-
-    .. deprecated:: 1.1
-        ``clean_log(log, config)`` is ``repro.clean(log, config).clean_log``.
-    """
-    warnings.warn(
-        "clean_log() is deprecated; use repro.clean(log, config).clean_log",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import clean
-
-    return clean(log, config).clean_log

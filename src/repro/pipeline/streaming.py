@@ -75,7 +75,7 @@ class StreamingStats:
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
     parse_cache_evictions: int = 0
-    #: queries emitted as lazy skeleton binds (``lazy_parse`` fast path).
+    #: queries emitted as lazy skeleton binds (parse-cache hits).
     parse_lazy_hits: int = 0
     #: lazy queries a downstream consumer forced to materialise
     #: (mirrored from the cache's counter at every flush).
@@ -130,8 +130,6 @@ class StreamingCleaner:
         bound per open block comes from ``config.execution
         .max_block_queries`` — the memory ceiling is roughly ``open
         users × max_block_queries``.
-    :param max_block_queries: deprecated constructor override of the
-        config knob; kept for one release.
     :param recorder: observability recorder; a fresh
         :class:`~repro.obs.Recorder` by default, so per-stage metrics
         are always collected (pass :data:`repro.obs.NULL` to opt out).
@@ -150,27 +148,12 @@ class StreamingCleaner:
     def __init__(
         self,
         config: Optional[PipelineConfig] = None,
-        max_block_queries: Optional[int] = None,
         *,
         recorder: Optional[Recorder] = None,
         template_witnesses: Optional[Iterable[str]] = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self.recorder = Recorder() if recorder is None else recorder
-        if max_block_queries is not None:
-            warnings.warn(
-                "StreamingCleaner(max_block_queries=...) is deprecated; set "
-                "PipelineConfig.execution=ExecutionConfig(max_block_queries=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Route through ExecutionConfig so its validation applies.
-            self.config = replace(
-                self.config,
-                execution=replace(
-                    self.config.execution, max_block_queries=max_block_queries
-                ),
-            )
         self.max_block_queries = self.config.execution.max_block_queries
         self.stats = StreamingStats()
         #: records set aside under the ``quarantine`` error policy.
@@ -187,9 +170,7 @@ class StreamingCleaner:
         # open table when the clock actually passes that deadline.
         execution = self.config.execution
         self._parse_cache: Optional[TemplateCache] = (
-            TemplateCache(
-                execution.parse_cache_size, lazy=execution.lazy_parse
-            )
+            TemplateCache(execution.parse_cache_size)
             if execution.parse_cache
             else None
         )
@@ -702,34 +683,3 @@ class StreamingCleaner:
             self._open_count += len(queries)
         oldest = state["oldest_open"]
         self._oldest_open = float("inf") if oldest is None else oldest  # type: ignore[assignment]
-
-
-def clean_log_streaming(
-    log: QueryLog,
-    config: Optional[PipelineConfig] = None,
-    max_block_queries: Optional[int] = None,
-) -> Tuple[QueryLog, StreamingStats]:
-    """Deprecated one-call streaming clean — use :func:`repro.clean`.
-
-    .. deprecated:: 1.1
-        ``repro.clean(log, config, execution="streaming")`` returns a
-        result whose ``clean_log`` / ``streaming_stats`` carry the same
-        two values.
-    """
-    warnings.warn(
-        "clean_log_streaming() is deprecated; use "
-        "repro.clean(log, config, execution='streaming')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    effective = config or PipelineConfig()
-    if max_block_queries is not None:
-        effective = replace(
-            effective,
-            execution=replace(
-                effective.execution, max_block_queries=max_block_queries
-            ),
-        )
-    cleaner = StreamingCleaner(effective)
-    cleaned = cleaner.run(log)
-    return cleaned, cleaner.stats

@@ -4,21 +4,24 @@ SkyServer-style logs are dominated by machine-generated statements that
 repeat a small set of templates with different constants (the premise of
 the paper's Section 3).  The full parse path re-derives the same
 skeleton, template and clause features thousands of times; this module
-short-circuits that with a two-level bounded LRU keyed by the lexer's
-:func:`~repro.sqlparser.lexer.fingerprint_statement`:
+short-circuits that with a two-level bounded LRU keyed by the scanner's
+:func:`~repro.sqlparser.scanner.fingerprint_statement`:
 
 * **L1 (exact text)** — statement text → prototype
   :class:`~repro.patterns.models.ParsedQuery` *or* a cached parse
-  failure.  A hit costs one dict probe plus a ``dataclasses.replace`` to
-  swap in the new log record.  Failures live only here: parser error
-  messages carry line/column positions that depend on the exact
-  whitespace, so they are never shared across texts.
+  failure.  A hit costs one dict probe plus a rebind to the new log
+  record.  Failures live only here: parser error messages carry
+  line/column positions that depend on the exact whitespace, so they
+  are never shared across texts.
 * **L2 (fingerprint key)** — canonical-token-stream key → an interned
   :class:`_Entry` holding the prototype and precomputed *splice
   templates* of its clause texts.  A hit costs one scanner pass plus a
-  literal-substitution rebuild of the AST; the template, template id,
-  predicate count and output set are shared (interned) from the
-  prototype, because they are functions of the token structure alone.
+  :class:`LazyParsedQuery` bind: the template, template id, predicate
+  count and output set are shared (interned) from the prototype,
+  because they are functions of the token structure alone, and the
+  AST / clause texts / equality filter materialise on first access.
+  Mining, registry and detection run on the shared skeleton fields, so
+  a typical run never builds most members' ASTs at all.
 * **Raw-template memo (L1.5)** — constant-stripped raw text → a
   *witness-verified* L2 entry.  Workloads like SkyServer's collapse to
   a few dozen raw templates, so once a template's first member has paid
@@ -30,12 +33,9 @@ short-circuits that with a two-level bounded LRU keyed by the lexer's
   position for position (see :func:`_raw_scan`); anything else marks
   the raw key unsafe and members keep taking the scanner path.
 
-In **lazy mode** (``TemplateCache(lazy=True)`` — parse engine v2) an L2
-hit skips even the AST rebuild: it emits a :class:`LazyParsedQuery`
-carrying only the interned skeleton and the member's constant vector,
-and the AST / clause texts / equality filter materialise on first
-access.  Mining, registry and detection run on the shared skeleton
-fields, so a typical run never builds most members' ASTs at all.
+A successful parse enters all three levels through one door,
+:meth:`TemplateCache.build`; :meth:`TemplateCache.store` only records
+parse failures.
 
 Correctness rests on one invariant and one escape hatch:
 
@@ -47,12 +47,11 @@ Correctness rests on one invariant and one escape hatch:
 * The parser is not a pure token-stream echo: it folds unary minus into
   number literals, consumes ``CAST`` type sizes into the type name, and
   accepts string-literal aliases.  Instead of enumerating those cases,
-  :func:`_build_entry` *verifies* at entry-build time that the
-  prototype's source-order literal vector equals the scanner's constant
-  vector and that the splice templates reproduce the prototype's clause
-  texts exactly.  Any mismatch marks the key **unsafe**: every statement
-  with that key permanently takes the full parse path.  Ambiguity can
-  therefore only ever cost speed, never correctness.
+  :meth:`TemplateCache.build` *verifies* at entry-build time that the
+  constants its marker rendering met, in render order, equal the
+  scanner's constant vector.  Any mismatch marks the key **unsafe**:
+  every statement with that key permanently takes the full parse path.
+  Ambiguity can therefore only ever cost speed, never correctness.
 """
 
 from __future__ import annotations
@@ -96,8 +95,6 @@ from .template import (
     QueryTemplate,
     _clause_strings,
     _leading_select,
-    build_template_canonical,
-    normalize_case,
 )
 
 #: Default bound of each cache level (distinct texts / distinct keys).
@@ -142,20 +139,6 @@ def _source_fields(cls: type) -> Tuple[str, ...]:
             order = tuple(f.name for f in dataclasses.fields(cls))
         _FIELD_ORDER_CACHE[cls] = order
     return order
-
-
-def _collect_value(value: object, out: List[Tuple[str, str]]) -> None:
-    """Append the subtree's number/string literals in source order."""
-    if isinstance(value, ast.Literal):
-        if value.kind == "number" or value.kind == "string":
-            out.append((value.kind, value.value))
-    elif isinstance(value, ast.Node):
-        for name in _source_fields(type(value)):
-            _collect_value(getattr(value, name), out)
-    elif type(value) is tuple:
-        for item in value:
-            if isinstance(item, ast.Node):
-                _collect_value(item, out)
 
 
 def _substitute_value(
@@ -236,7 +219,7 @@ def _render_constant(kind: str, value: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Marker-formatter fusion (parse engine v3 cold path)
+# Marker-formatter fusion (the cold path)
 #
 # The cold path needs three renderings of the same statement: the clause
 # texts (constants preserved), the template (constants replaced by typed
@@ -262,15 +245,15 @@ def _render_constant(kind: str, value: str) -> str:
 #   render order to token order *by value* (the splice slots depend on
 #   that correspondence), and any parser divergence from the token
 #   stream — a folded ``- -5``, a CAST size, a consumed alias — breaks
-#   the equality and marks the key unsafe, exactly as the legacy
-#   source-order traversal check did.
+#   the equality and marks the key unsafe.
 #
 # NULL literals and (under ``fold_variables``) variables render
 # differently in the template (``<null>`` / ``<var>``) than in the
 # clause texts (``NULL`` / ``@name``), so they get a second marker
-# family carrying both spellings.  Marker injectivity is guaranteed by
-# the caller: the fused path runs only when a fingerprint exists, and
-# the scanner refuses control characters wherever they appear.
+# family carrying both spellings.  Markers are injective because the
+# scanner rejects ``\x00`` outside literals, comments and delimited
+# identifiers, and :meth:`TemplateCache.build` never marker-renders a
+# text that carries one (a delimited identifier could forge a marker).
 
 _EXTRA_MARKER = re.compile("\x00x(\\d+)\x01")
 
@@ -402,7 +385,7 @@ class _MarkerFormatter(_CanonFormatter):
 def _collect_literal_nodes(value: object, out: List[ast.Literal]) -> None:
     """Append the subtree's number/string literal *nodes* in source order.
 
-    Same traversal as :func:`_collect_value`, but keeping the node
+    Same traversal as :func:`_substitute_value`, keeping the node
     objects so positions can be matched by identity.
     """
     if isinstance(value, ast.Literal):
@@ -442,7 +425,7 @@ _EQ_MATERIALISE = "materialise"
 class LazyParsedQuery(ParsedQuery):
     """A skeleton-only :class:`ParsedQuery` bound to an interned entry.
 
-    Emitted by the cache on an L2 hit in lazy mode: only the fields the
+    Emitted by the cache on every L2 and raw-memo hit: only the fields the
     post-parse stages actually touch (record, template, template id,
     predicate count, outputs, interned id) are populated eagerly — the
     AST (``statement`` / ``select``), the clause texts and the equality
@@ -455,7 +438,7 @@ class LazyParsedQuery(ParsedQuery):
       the prototype AST and bump the cache's ``materialised`` counter.
 
     Instances compare equal (both directions) and hash identically to
-    the eager :class:`ParsedQuery` they stand in for; comparing forces
+    the fully built :class:`ParsedQuery` they stand in for; comparing forces
     materialisation.  They are built by :meth:`_Entry.bind` via
     ``object.__new__`` — never through the dataclass ``__init__`` — so a
     bind is one dict copy, cheaper even than ``dataclasses.replace``.
@@ -561,10 +544,10 @@ class LazyParsedQuery(ParsedQuery):
         return self.__dict__["_entry"].nulls
 
     # ------------------------------------------------------------------
-    # Equality across the lazy/eager divide.  The generated dataclass
+    # Equality across the lazy/built divide.  The generated dataclass
     # __eq__ requires identical classes; here any ParsedQuery with equal
     # parse semantics must compare equal (Python tries the subclass's
-    # reflected operator first, so eager == lazy routes here too).
+    # reflected operator first, so built == lazy routes here too).
 
     def __eq__(self, other: object):
         if isinstance(other, ParsedQuery):
@@ -716,136 +699,6 @@ def _equality_binding(proto: ParsedQuery) -> Optional[tuple]:
     return (_EQ_MATERIALISE,)
 
 
-def _build_entry(
-    proto: ParsedQuery, fingerprint: StatementFingerprint
-) -> Optional[_Entry]:
-    """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
-
-    The safety checks compare what the scanner *predicted* against what
-    the parser actually *built*; any divergence (unary-minus edge cases,
-    CAST type sizes, string aliases, formatter surprises) disqualifies
-    the whole key class rather than risking a wrong instantiation.
-    """
-    return _build_entry_canonical(
-        proto, fingerprint, normalize_case(proto.statement)
-    )
-
-
-def _build_entry_canonical(
-    proto: ParsedQuery,
-    fingerprint: StatementFingerprint,
-    canonical: ast.Node,
-) -> Optional[_Entry]:
-    """:func:`_build_entry` given the already-normalised statement.
-
-    Substituting markers into the canonical tree commutes with case
-    normalisation (:func:`normalize_case` never rewrites literal nodes
-    and preserves structure), so the one-shot build path shares a single
-    normalisation pass between the template, the clause texts and this
-    sentinel — and the splice self-check below independently verifies
-    the result either way.
-    """
-    literals: List[Tuple[str, str]] = []
-    _collect_value(proto.statement, literals)
-    if tuple(literals) != fingerprint.constants:
-        return None
-    markers = tuple(
-        ("number", "\x00%d\x01" % index) for index in range(len(literals))
-    )
-    state = [0]
-    sentinel_statement = _substitute_value(canonical, markers, state)
-    if state[0] != len(literals):
-        return None
-    select = _leading_select(sentinel_statement)  # type: ignore[arg-type]
-    sc, fc, wc, _, _ = _clause_strings(select)
-    splices = (_make_splice(sc), _make_splice(fc), _make_splice(wc))
-    # End-to-end self-check: splicing the prototype's own constants must
-    # reproduce its true clause texts byte for byte.
-    rendered = [_render_constant(kind, value) for kind, value in literals]
-    clauses = proto.clauses
-    if (
-        _render_splice(splices[0], rendered) != clauses.sc
-        or _render_splice(splices[1], rendered) != clauses.fc
-        or _render_splice(splices[2], rendered) != clauses.wc
-    ):
-        return None
-    return _Entry(
-        proto,
-        fingerprint.constants,
-        splices,
-        _equality_binding(proto),
-        len(null_comparison_predicates(proto.select)),
-    )
-
-
-def _entry_from_markers(
-    proto: ParsedQuery,
-    fingerprint: StatementFingerprint,
-    splices: Tuple[_Splice, _Splice, _Splice],
-    marker: _MarkerFormatter,
-) -> Optional[_Entry]:
-    """:func:`_build_entry_canonical` from an existing marker rendering.
-
-    The fused cold path already rendered the statement once with indexed
-    markers at the constant leaves, so the splices are given; admission
-    reduces to the safety check.  The marker formatter recorded each
-    constant's ``(kind, value)`` at the moment it was emitted, so one
-    sequence equality against the scanner's constant vector verifies
-    everything the legacy checks did: that the parser built exactly the
-    literals the scanner predicted (folded ``- -5``, CAST sizes and
-    consumed aliases all break it) *and* that render order — which the
-    splice slots encode — is token order, value for value.  Two
-    identical constants transposed would pass, and splice identical
-    bytes either way.
-    """
-    if tuple(marker.consts) != fingerprint.constants:
-        return None
-    return _Entry(
-        proto,
-        fingerprint.constants,
-        splices,
-        _equality_binding(proto),
-        len(null_comparison_predicates(proto.select)),
-    )
-
-
-def _instantiate(
-    entry: _Entry, constants: Tuple[Tuple[str, str], ...], record
-) -> ParsedQuery:
-    """Materialise the key class's parse for ``record``'s constants."""
-    proto = entry.proto
-    if constants == entry.constants:
-        return dataclasses.replace(proto, record=record)
-    state = [0]
-    statement = _substitute_value(proto.statement, constants, state)
-    select = statement
-    while isinstance(select, ast.Union):
-        select = select.left
-    rendered = [_render_constant(kind, value) for kind, value in constants]
-    clauses = ClauseTexts(
-        sc=_render_splice(entry.splices[0], rendered),
-        fc=_render_splice(entry.splices[1], rendered),
-        wc=_render_splice(entry.splices[2], rendered),
-    )
-    equality = (
-        single_equality_filter(select)
-        if proto.equality_filter is not None
-        else None
-    )
-    return ParsedQuery(
-        record=record,
-        statement=statement,  # type: ignore[arg-type]
-        select=select,  # type: ignore[arg-type]
-        template=proto.template,
-        template_id=proto.template_id,
-        clauses=clauses,
-        predicate_count=proto.predicate_count,
-        equality_filter=equality,
-        outputs=proto.outputs,
-        interned_id=proto.interned_id,
-    )
-
-
 # ----------------------------------------------------------------------
 # Raw-template memo (L1.5): skip the scanner for known raw templates
 #
@@ -882,7 +735,7 @@ def _raw_scan(text: str) -> Optional[RawTemplate]:
     refusal, mirrored here, keeps placeholders out of the input).  The
     constants come back already in the scanner's ``(kind, value)``
     format — same unquoting, same ``''`` collapse — so a verified raw
-    key can feed :meth:`_Entry.bind` and :func:`_instantiate` directly.
+    key can feed :meth:`_Entry.bind` directly.
     """
     if _FP_UNSAFE.search(text):
         return None
@@ -923,25 +776,20 @@ class TemplateCache:
     so prewarmed caches can cross process boundaries, but they are never
     shared concurrently.
 
+    The parse protocol is :meth:`fetch`; on a miss, :meth:`build`; if
+    that raises, :meth:`store` of the failure.  Every L2 and raw-memo
+    hit is a :class:`LazyParsedQuery`, and :attr:`materialised` counts
+    the AST builds those queries later defer to.
+
     :param max_entries: LRU bound applied to each level independently.
-    :param lazy: emit :class:`LazyParsedQuery` on L2 hits instead of
-        materialising the AST eagerly (the parse engine v2 fast path).
-        Byte-identical output either way — laziness only changes *when*
-        the AST is built, and :attr:`materialised` counts those deferred
-        builds.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_PARSE_CACHE_SIZE,
-        lazy: bool = False,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
         if max_entries < 1:
             raise ValueError(
                 f"max_entries must be a positive integer, got {max_entries!r}"
             )
         self.max_entries = max_entries
-        self.lazy = lazy
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -952,17 +800,10 @@ class TemplateCache:
         #: or _UNSAFE when the regex strip provably disagrees with the
         #: scanner for this raw key.
         self._by_raw: "OrderedDict[str, object]" = OrderedDict()
-        #: (sql, fingerprint, raw, scan) remembered from the last miss so
-        #: that the build()/store() that follows does not rescan the text
-        #: (the scan carries the token stream the parser consumes).
-        self._pending: Optional[
-            Tuple[
-                str,
-                Optional[StatementFingerprint],
-                Optional[RawTemplate],
-                Optional[Scan],
-            ]
-        ] = None
+        #: (sql, scan, raw) remembered from the last miss so that the
+        #: build() that follows does not rescan the text (the scan
+        #: carries the token stream the parser consumes).
+        self._pending: Optional[Tuple[str, Scan, Optional[RawTemplate]]] = None
 
     @property
     def materialised(self) -> int:
@@ -972,26 +813,6 @@ class TemplateCache:
         a query's ``statement`` after a run still bumps it.
         """
         return self._lazy_stats.materialised
-
-    def set_lazy(self, lazy: bool) -> None:
-        """Switch the emission mode of subsequent fetches.
-
-        Turning laziness *off* also drops lazy values promoted into L1,
-        so an eager run served by a reused (worker-persistent) cache
-        never emits a lazy query.
-        """
-        lazy = bool(lazy)
-        if lazy == self.lazy:
-            return
-        self.lazy = lazy
-        if not lazy:
-            exact = self._exact
-            for sql in [
-                sql
-                for sql, value in exact.items()
-                if type(value) is LazyParsedQuery
-            ]:
-                del exact[sql]
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -1007,7 +828,8 @@ class TemplateCache:
         A returned :class:`~repro.patterns.models.ParsedQuery` is already
         bound to ``record``; a returned tuple is the shared parse
         failure of this exact statement text.  ``None`` means miss — the
-        caller must full-parse and :meth:`store` the outcome.
+        caller must :meth:`build` the statement (and :meth:`store` the
+        failure if that raises).
         """
         sql = record.sql
         exact = self._exact
@@ -1017,11 +839,7 @@ class TemplateCache:
             self.hits += 1
             if type(cached) is tuple:
                 return cached
-            if cached.record is record:
-                return cached
-            if type(cached) is LazyParsedQuery:
-                return rebind_query(cached, record, cached.interned_id)
-            return dataclasses.replace(cached, record=record)
+            return rebind_query(cached, record, cached.interned_id)
         raw = _raw_scan(sql)
         if raw is not None:
             memo = self._by_raw.get(raw[0])
@@ -1036,54 +854,39 @@ class TemplateCache:
                 for index in folds:
                     constants[index] = ("number", "-" + constants[index][1])
                 self.hits += 1
-                if self.lazy:
-                    return entry.bind(record, tuple(constants), self._lazy_stats)
-                return _instantiate(entry, tuple(constants), record)
+                return entry.bind(record, tuple(constants), self._lazy_stats)
         scanned = scan(sql)
         fingerprint = scanned.fingerprint
         if fingerprint is not None:
             entry = self._by_key.get(fingerprint.key)
             if type(entry) is _Entry:
                 self._by_key.move_to_end(fingerprint.key)
-                if self.lazy:
-                    result: CacheResult = entry.bind(
-                        record, fingerprint.constants, self._lazy_stats
-                    )
-                else:
-                    result = _instantiate(entry, fingerprint.constants, record)
+                result = entry.bind(
+                    record, fingerprint.constants, self._lazy_stats
+                )
                 self.hits += 1
                 self._admit_raw(raw, fingerprint, entry)
                 # Promote into L1 so an exact repeat skips the scanner.
                 self._remember_exact(sql, result)
                 return result
         self.misses += 1
-        self._pending = (sql, fingerprint, raw, scanned)
+        self._pending = (sql, scanned, raw)
         return None
 
-    def store(self, sql: str, result: CacheResult) -> None:
-        """Admit a full-parse outcome produced after a :meth:`fetch` miss."""
-        pending = self._pending
+    def store(self, sql: str, failure: Tuple[BaseException, str]) -> None:
+        """Admit the ``(error, reason)`` failure of a :meth:`build`.
+
+        Failures stay L1-only: their messages carry text-specific
+        line/column positions.  Successful parses enter the cache
+        through :meth:`build` alone.
+        """
+        if type(failure) is not tuple:
+            raise TypeError(
+                "store() admits parse failures only; successful parses "
+                "enter the cache through build()"
+            )
         self._pending = None
-        if pending is not None and pending[0] == sql:
-            fingerprint, raw = pending[1], pending[2]
-        else:
-            fingerprint = scan(sql).fingerprint
-            raw = _raw_scan(sql)
-        self._remember_exact(sql, result)
-        if fingerprint is None or type(result) is tuple:
-            # No usable key, or a failure: failures stay L1-only because
-            # their messages carry text-specific line/column positions.
-            return
-        by_key = self._by_key
-        entry = by_key.get(fingerprint.key)
-        if entry is None:
-            entry = _build_entry(result, fingerprint)
-            entry = _UNSAFE if entry is None else entry
-            by_key[fingerprint.key] = entry
-            if len(by_key) > self.max_entries:
-                by_key.popitem(last=False)
-                self.evictions += 1
-        self._admit_raw(raw, fingerprint, entry)
+        self._remember_exact(sql, failure)
 
     def build(
         self,
@@ -1093,87 +896,82 @@ class TemplateCache:
         strict_triple: bool = False,
         interner=None,
     ) -> ParsedQuery:
-        """Full-parse ``record`` after a :meth:`fetch` miss — in one shot.
+        """Full-parse ``record`` after a :meth:`fetch` miss and admit it.
 
-        Parse engine v3's cold path.  The scanner pass the miss already
-        paid for feeds the parser directly (no second tokenization), and
-        one case-normalising marker rendering of the raw parse tree
+        The cold path, and the only way a successful parse enters the
+        cache.  The scanner pass the miss already paid for feeds the
+        parser directly (no second tokenization), and one
+        case-normalising marker rendering of the raw parse tree
         (:class:`_MarkerFormatter`) yields the template, the clause
-        texts and the interned splice :class:`_Entry` together — the
-        legacy parse-then-re-derive path case-normalised the tree three
-        times and formatted it four.  On success the prototype is
-        admitted into L1/L2/raw exactly as a fetch-miss followed by
-        :meth:`store` would admit it.
+        texts and the interned splice :class:`_Entry` together.  A
+        union's template also folds the marker rendering of the whole
+        statement into its suffix, exactly as
+        :func:`~repro.skeleton.template.build_template` does.  The
+        prototype is admitted into L1, its fingerprint key into L2 and
+        its raw template into the raw memo.
 
         Failures (:class:`~repro.sqlparser.errors.SqlError` subclasses,
-        ``RecursionError``) propagate to the caller; the pending scan
-        state is kept so the caller's :meth:`store` of the failure tuple
-        does not rescan the text.
+        ``RecursionError``) propagate to the caller, which hands the
+        failure tuple to :meth:`store`.
         """
         sql = record.sql
         pending = self._pending
-        if pending is not None and pending[0] == sql and pending[3] is not None:
-            fingerprint, raw, scanned = pending[1], pending[2], pending[3]
+        self._pending = None
+        if pending is not None and pending[0] == sql:
+            _, scanned, raw = pending
         else:
             scanned = scan(sql)
-            fingerprint = scanned.fingerprint
             raw = _raw_scan(sql)
-            self._pending = (sql, fingerprint, raw, scanned)
         if scanned.error is not None:
             raise scanned.error
+        fingerprint = scanned.fingerprint
         statement = Parser(scanned.tokens).parse_statement()
-        self._pending = None
-        select = statement
-        while isinstance(select, ast.Union):
-            select = select.left
-        assert isinstance(select, ast.SelectStatement)
-        marker = None
-        if fingerprint is not None and not isinstance(statement, ast.Union):
-            # Fused derivation: one marker-rendering of the raw parse
-            # tree yields the template (markers → placeholders), the
-            # splices (split on the markers) and the clause texts (one
-            # splice-render with the statement's own constants) — and
-            # the case-normalising formatter makes the canonical tree
-            # itself unnecessary.  The fingerprint's existence
-            # guarantees the text is free of the marker alphabet's
-            # control characters.  Unions fall back: their template
-            # folds a full statement rendering into the suffix, which
-            # isn't worth a marker variant for how rarely they appear.
-            marker = _MarkerFormatter(fold_variables)
-            msc, mfc, mwc, mprefix, msuffix = _clause_strings(
-                select, marker
-            )
-            template = QueryTemplate(
-                ssc=marker.template_text(msc),
-                sfc=marker.template_text(mfc),
-                swc=marker.template_text(mwc),
-                rest_prefix=(
-                    "" if strict_triple else marker.template_text(mprefix)
-                ),
-                rest_suffix=(
-                    "" if strict_triple else marker.template_text(msuffix)
-                ),
-            )
-            splices = (
-                _make_splice(marker.splice_text(msc)),
-                _make_splice(marker.splice_text(mfc)),
-                _make_splice(marker.splice_text(mwc)),
-            )
-            rendered = [
-                _render_constant(kind, value) for kind, value in marker.consts
-            ]
-            sc = _render_splice(splices[0], rendered)
-            fc = _render_splice(splices[1], rendered)
-            wc = _render_splice(splices[2], rendered)
-        else:
-            canonical = normalize_case(statement)
-            canonical_select = _leading_select(canonical)  # type: ignore[arg-type]
-            sc, fc, wc, _, _ = _clause_strings(canonical_select)
-            template = build_template_canonical(
-                canonical,  # type: ignore[arg-type]
+        select = _leading_select(statement)
+        if fingerprint is None and "\x00" in sql:
+            # A NUL inside a delimited identifier could forge a marker;
+            # such texts have no fingerprint, so only L1 ever sees them.
+            proto = ParsedQuery.from_statement(
+                record,
+                statement,
                 fold_variables=fold_variables,
                 strict_triple=strict_triple,
+                interner=interner,
             )
+            self._remember_exact(sql, proto)
+            return proto
+        # One marker rendering of the raw parse tree yields the template
+        # (markers → placeholders), the splices (split on the markers)
+        # and the clause texts (one splice-render with the statement's
+        # own constants); the case-normalising formatter makes the
+        # canonical tree itself unnecessary.
+        marker = _MarkerFormatter(fold_variables)
+        msc, mfc, mwc, mprefix, msuffix = _clause_strings(select, marker)
+        constants = marker.consts
+        suffix = marker.template_text(msuffix)
+        if isinstance(statement, ast.Union):
+            # Fold the full union shape into the suffix so differently
+            # shaped unions never collapse into one template.  The whole
+            # rendering meets the leading select's constants first, in
+            # the same order, so the splice slots index its vector too.
+            whole = _MarkerFormatter(fold_variables)
+            shape = whole.template_text(whole.statement(statement))
+            suffix = (suffix + " || " + shape).strip()
+            constants = whole.consts
+        template = QueryTemplate(
+            ssc=marker.template_text(msc),
+            sfc=marker.template_text(mfc),
+            swc=marker.template_text(mwc),
+            rest_prefix="" if strict_triple else marker.template_text(mprefix),
+            rest_suffix="" if strict_triple else suffix,
+        )
+        splices = (
+            _make_splice(marker.splice_text(msc)),
+            _make_splice(marker.splice_text(mfc)),
+            _make_splice(marker.splice_text(mwc)),
+        )
+        rendered = [
+            _render_constant(kind, value) for kind, value in marker.consts
+        ]
         template_id = template_fingerprint(template)
         proto = ParsedQuery(
             record=record,
@@ -1181,7 +979,11 @@ class TemplateCache:
             select=select,
             template=template,
             template_id=template_id,
-            clauses=ClauseTexts(sc=sc, fc=fc, wc=wc),
+            clauses=ClauseTexts(
+                sc=_render_splice(splices[0], rendered),
+                fc=_render_splice(splices[1], rendered),
+                wc=_render_splice(splices[2], rendered),
+            ),
             predicate_count=count_predicates(select),
             equality_filter=single_equality_filter(select),
             outputs=frozenset(output_columns(select)),
@@ -1194,15 +996,19 @@ class TemplateCache:
             by_key = self._by_key
             entry = by_key.get(fingerprint.key)
             if entry is None:
-                if marker is not None:
-                    entry = _entry_from_markers(
-                        proto, fingerprint, splices, marker
+                # The safety check: the constants the rendering met, in
+                # render order, must be the scanner's constant vector.
+                # A folded ``- -5``, a CAST size or a consumed alias
+                # breaks the equality and pins the key to the full path.
+                entry = _UNSAFE
+                if tuple(constants) == fingerprint.constants:
+                    entry = _Entry(
+                        proto,
+                        fingerprint.constants,
+                        splices,
+                        _equality_binding(proto),
+                        len(null_comparison_predicates(select)),
                     )
-                else:
-                    entry = _build_entry_canonical(
-                        proto, fingerprint, canonical
-                    )
-                entry = _UNSAFE if entry is None else entry
                 by_key[fingerprint.key] = entry
                 if len(by_key) > self.max_entries:
                     by_key.popitem(last=False)
@@ -1462,7 +1268,7 @@ class TemplateCache:
         ever warm caches serving the same ``(fold_variables,
         strict_triple)`` parse knobs it was built under.
         """
-        clone = TemplateCache(self.max_entries, lazy=self.lazy)
+        clone = TemplateCache(self.max_entries)
         # Lazy L1 values hold this cache's materialisation counter; a
         # seeded cache must count its own, so they stay behind (the
         # interned L2 entry regenerates them on the first key hit).

@@ -186,28 +186,9 @@ def build_template(
     :param strict_triple: use the paper-verbatim identity (drop the
         ``rest`` component) — used by the E14 ablation.
     """
-    return build_template_canonical(
-        normalize_case(statement),
-        fold_variables=fold_variables,
-        strict_triple=strict_triple,
-    )
-
-
-def build_template_canonical(
-    canonical: ast.Statement,
-    *,
-    fold_variables: bool = False,
-    strict_triple: bool = False,
-) -> QueryTemplate:
-    """:func:`build_template` for an already case-normalised tree.
-
-    The cache's one-shot entry build (parse engine v3) normalises a
-    statement once and derives the template, the clause texts and the
-    splice sentinel all from that single canonical tree; this variant
-    lets it skip the redundant second normalisation pass.
-    """
     skeleton = skeletonize_statement(
-        canonical, fold_variables=fold_variables  # type: ignore[arg-type]
+        normalize_case(statement),  # type: ignore[arg-type]
+        fold_variables=fold_variables,
     )
     select = _leading_select(skeleton)
     ssc, sfc, swc, prefix, suffix = _clause_strings(select)

@@ -1,8 +1,8 @@
 """The unified log-input API: :class:`LogSource` and :func:`open_log`.
 
 Log input used to be fragmented — ``QueryLog.from_statements``,
-``read_csv``, ``read_jsonl``, raw record lists — each with slightly
-different ``errors=`` / ``channel=`` plumbing.  A :class:`LogSource` is
+per-format readers, raw record lists — each with slightly different
+``errors=`` / ``channel=`` plumbing.  A :class:`LogSource` is
 the one shape every consumer (``repro.clean``, the CLI, the checkpoint
 layer) programs against:
 

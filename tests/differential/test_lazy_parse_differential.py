@@ -1,12 +1,13 @@
 """Differential suite: the lazy parse fast path tells the same story.
 
-``lazy_parse`` changes *when* SQL text and ASTs materialise, and
-nothing else.  For a generated workload this suite pins every executor
-configuration's lazy run to its own eager run: identical clean
-records, an equal ``comparable()`` ledger counter for counter, and
-zero conservation violations — plus the lazy-specific accounting laws
-(``parse_lazy_hits + parse_eager == parse.records_out``, eager runs
-booking zero lazy hits).
+Every parse-cache hit is a lazy query, which changes *when* SQL text
+and ASTs materialise, and nothing else.  For a generated workload this
+suite pins every executor configuration's cached run to its own
+uncached run (``parse_cache=False``, a fresh full parse of every
+statement): identical clean records, an equal ``comparable()`` ledger
+counter for counter, and zero conservation violations — plus the
+lazy-specific accounting laws (``parse_lazy_hits + parse_eager ==
+parse.records_out``, uncached runs booking zero lazy hits).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXECUTIONS = {
     "streaming": ExecutionConfig(mode="streaming"),
     "parallel-1": ExecutionConfig(mode="parallel", workers=1, chunk_size=0),
     "parallel-2": ExecutionConfig(mode="parallel", workers=2, chunk_size=0),
+    "parallel-4": ExecutionConfig(mode="parallel", workers=4, chunk_size=0),
 }
 
 
@@ -39,73 +41,69 @@ def _config():
 
 class TestLazyParseMatrix:
     @pytest.mark.parametrize("name", sorted(EXECUTIONS))
-    def test_lazy_matches_eager(self, name, workload_log):
+    def test_cached_matches_uncached(self, name, workload_log):
         execution = EXECUTIONS[name]
-        lazy = repro.clean(workload_log, _config(), execution=execution)
-        eager = repro.clean(
-            workload_log, _config(), execution=execution, lazy_parse=False
+        cached = repro.clean(workload_log, _config(), execution=execution)
+        uncached = repro.clean(
+            workload_log, _config(), execution=execution, parse_cache=False
         )
-        assert lazy.clean_log.records() == eager.clean_log.records()
-        assert lazy.metrics.comparable() == eager.metrics.comparable()
-        assert lazy.metrics.conservation_violations() == []
-        assert eager.metrics.conservation_violations() == []
+        assert cached.clean_log.records() == uncached.clean_log.records()
+        assert cached.metrics.comparable() == uncached.metrics.comparable()
+        assert cached.metrics.conservation_violations() == []
+        assert uncached.metrics.conservation_violations() == []
 
-        lazy_parse = lazy.metrics.stages["parse"].counters
-        eager_parse = eager.metrics.stages["parse"].counters
+        cached_parse = cached.metrics.stages["parse"].counters
+        uncached_parse = uncached.metrics.stages["parse"].counters
         # The ledger law, by hand (the conservation check above already
         # enforces it, but pin the counters exist and carry traffic).
         assert (
-            lazy_parse["parse_lazy_hits"] + lazy_parse["parse_eager"]
-            == lazy_parse["records_out"]
+            cached_parse["parse_lazy_hits"] + cached_parse["parse_eager"]
+            == cached_parse["records_out"]
         )
-        assert lazy_parse["parse_lazy_hits"] > 0, (
+        assert cached_parse["parse_lazy_hits"] > 0, (
             "a repetitive workload must take the lazy path"
         )
-        assert eager_parse["parse_lazy_hits"] == 0
-        assert eager_parse["parse_materialised"] == 0
+        assert uncached_parse["parse_lazy_hits"] == 0
+        assert uncached_parse["parse_cache_hits"] == 0
         # Materialisation is bounded by emission.
         assert (
-            lazy_parse["parse_materialised"] <= lazy_parse["parse_lazy_hits"]
+            cached_parse["parse_materialised"]
+            <= cached_parse["parse_lazy_hits"]
         )
-
-    def test_lazy_parse_off_without_cache_is_harmless(self, workload_log):
-        """``lazy_parse`` is moot when the cache is off — the run takes
-        the classic exact-dict path and books zero lazy traffic."""
-        result = repro.clean(
-            workload_log, _config(), parse_cache=False
-        )
-        reference = repro.clean(
-            workload_log, _config(), parse_cache=False, lazy_parse=False
-        )
-        assert result.clean_log.records() == reference.clean_log.records()
-        counters = result.metrics.stages["parse"].counters
-        assert counters["parse_lazy_hits"] == 0
-        assert counters["parse_cache_hits"] == 0
 
     def test_cli_knob_reaches_the_run(self, workload_log, tmp_path):
-        """--no-lazy-parse flows through to the execution config."""
+        """--no-parse-cache flows through to the execution config and
+        leaves the clean log unchanged."""
+        import json
+
         from repro.cli.main import main
         from repro.log.io import write_csv
 
         source = tmp_path / "log.csv"
         write_csv(workload_log, source)
-        out = tmp_path / "clean.csv"
-        metrics = tmp_path / "metrics.json"
-        code = main(
-            [
-                "clean",
-                str(source),
-                "--output",
-                str(out),
-                "--metrics-json",
-                str(metrics),
-                "--no-lazy-parse",
-            ]
-        )
-        assert code == 0
-        import json
-
-        ledger = json.loads(metrics.read_text())
-        parse = ledger["stages"]["parse"]["counters"]
-        assert parse["parse_lazy_hits"] == 0
-        assert parse["parse_cache_hits"] > 0
+        ledgers = {}
+        outputs = {}
+        for flags in ((), ("--no-parse-cache",)):
+            out = tmp_path / f"clean{len(flags)}.csv"
+            metrics = tmp_path / f"metrics{len(flags)}.json"
+            code = main(
+                [
+                    "clean",
+                    str(source),
+                    "--output",
+                    str(out),
+                    "--metrics-json",
+                    str(metrics),
+                    *flags,
+                ]
+            )
+            assert code == 0
+            ledgers[flags] = json.loads(metrics.read_text())
+            outputs[flags] = out.read_bytes()
+        off = ("--no-parse-cache",)
+        assert outputs[()] == outputs[off]
+        cached = ledgers[()]["stages"]["parse"]["counters"]
+        uncached = ledgers[off]["stages"]["parse"]["counters"]
+        assert cached["parse_cache_hits"] > 0
+        assert uncached["parse_cache_hits"] == 0
+        assert uncached["parse_lazy_hits"] == 0

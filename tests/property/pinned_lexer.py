@@ -3,12 +3,12 @@
 This is the hand-written ``Lexer`` that shipped in
 ``repro.sqlparser.lexer`` through parse engines v1–v3, moved here
 verbatim when parse engine v4 removed the production escape hatch
-(``REPRO_LEGACY_LEXER=1`` now warns that the path is gone and proceeds
-with the scanner).  It stays in-tree *unchanged* as the executable
-specification of the tokenizer: the property suite fuzzes every
-scanner rewrite against it, so the simplest possible implementation —
-one character at a time, no tables shared with the code under test —
-is exactly what makes it a trustworthy reference.
+(``REPRO_LEGACY_LEXER=1``; the ``lexer`` module itself is gone too — the
+package tokenizes with the scanner alone).  It stays in-tree *unchanged*
+as the executable specification of the tokenizer: the property suite
+fuzzes every scanner rewrite against it, so the simplest possible
+implementation — one character at a time, no tables shared with the code
+under test — is exactly what makes it a trustworthy reference.
 
 Do not optimise or refactor this module.  Its value is that it does
 not change.

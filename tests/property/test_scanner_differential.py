@@ -287,34 +287,3 @@ class TestV3ScannerDifferential:
     @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_corpus_matches_frozen_v3_scanner(self, text):
         assert_same_scan_as_v3(text)
-
-
-class TestLegacyEscapeHatch:
-    """``REPRO_LEGACY_LEXER=1`` is gone: the v4 façade warns that the
-    legacy path was removed and proceeds with the scanner."""
-
-    def test_forwarding_default_is_scanner(self):
-        import warnings
-
-        from repro.sqlparser import lexer
-
-        assert lexer._USE_LEGACY is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tokens = lexer.tokenize("SELECT a FROM t")
-        assert [t.value for t in tokens[:-1]] == ["SELECT", "a", "FROM", "t"]
-
-    def test_escape_hatch_warns_removed_and_proceeds(self, monkeypatch):
-        from repro.sqlparser import lexer
-
-        monkeypatch.setattr(lexer, "_USE_LEGACY", True)
-        with pytest.warns(DeprecationWarning, match="was removed"):
-            tokens = lexer.tokenize("SELECT a FROM t WHERE x = 1")
-        assert tokens == scan("SELECT a FROM t WHERE x = 1").tokens
-
-    def test_lexer_module_keeps_compat_surface(self):
-        from repro.sqlparser import lexer
-
-        assert lexer.fingerprint_statement("SELECT 1") is not None
-        assert lexer.StatementFingerprint is not None
-        assert not hasattr(lexer, "Lexer")

@@ -27,7 +27,7 @@ from repro.log.models import LogRecord
 from repro.patterns.models import ParsedQuery
 from repro.skeleton.cache import TemplateCache
 from repro.sqlparser import SqlError, format_sql, parse
-from repro.sqlparser.lexer import fingerprint_statement
+from repro.sqlparser.scanner import fingerprint_statement
 
 
 def record(seq: int, sql: str) -> LogRecord:
@@ -39,11 +39,10 @@ def fresh_parse(rec: LogRecord) -> ParsedQuery:
 
 
 def cached_parse(cache: TemplateCache, rec: LogRecord) -> ParsedQuery:
-    """Fetch through ``cache``, full-parsing and storing on a miss."""
+    """Fetch through ``cache``, building on a miss."""
     cached = cache.fetch(rec)
     if cached is None:
-        cached = fresh_parse(rec)
-        cache.store(rec.sql, cached)
+        cached = cache.build(rec)
     assert not isinstance(cached, tuple), cached
     return cached
 
@@ -71,13 +70,12 @@ class TestDelimiterKeys:
                 == fingerprint_statement(other).key
             )
 
-    @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("sql", FORMS)
-    def test_cached_equals_uncached_per_form(self, sql, lazy):
+    def test_cached_equals_uncached_per_form(self, sql):
         """Warm each form's own key, then fetch a constant variant: the
         cached instantiation must equal a fresh full parse, and its
         clause texts must render the same bytes."""
-        cache = TemplateCache(lazy=lazy)
+        cache = TemplateCache()
         cached_parse(cache, record(0, sql))
         variant = record(1, sql.replace("= 1", "= 2"))
         via_cache = cached_parse(cache, variant)
@@ -86,12 +84,11 @@ class TestDelimiterKeys:
         assert via_cache.clauses == direct.clauses
         assert format_sql(via_cache.statement) == format_sql(direct.statement)
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_forms_never_cross_pollinate(self, lazy):
+    def test_forms_never_cross_pollinate(self):
         """Warm the cache with *all* forms, then fetch variants of each:
         every answer must match its own form's fresh parse (pre-fix the
         shared key made one form splice another's prototype)."""
-        cache = TemplateCache(lazy=lazy)
+        cache = TemplateCache()
         for seq, sql in enumerate(self.FORMS):
             cached_parse(cache, record(seq, sql))
         for seq, sql in enumerate(self.FORMS):
@@ -165,12 +162,11 @@ class TestNumberEdges:
             "SELECT a FROM t WHERE b = 1.5e-3",
         ],
     )
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_accepted_edges_round_trip_through_cache(self, sql, lazy):
+    def test_accepted_edges_round_trip_through_cache(self, sql):
         """Shapes both sides accept: the cached instantiation of a
         sibling constant must be byte-equal to its fresh parse."""
         assert fingerprint_statement(sql) is not None
-        cache = TemplateCache(lazy=lazy)
+        cache = TemplateCache()
         cached_parse(cache, record(0, sql))
         sibling = record(1, sql.replace("b =", "b ="))  # same template
         other = record(2, "SELECT a FROM t WHERE b = 7")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sqlparser.errors import LexerError
-from repro.sqlparser.lexer import tokenize
+from repro.sqlparser.scanner import tokenize
 from repro.sqlparser.tokens import TokenKind
 
 
@@ -169,3 +169,13 @@ class TestPositions:
     def test_unexpected_character(self):
         with pytest.raises(LexerError, match="unexpected character"):
             tokenize("a ? b")
+
+
+class TestImportSurface:
+    def test_package_tokenizer_is_the_scanner(self):
+        import repro.sqlparser as sqlparser
+        from repro.sqlparser import scanner
+
+        assert sqlparser.tokenize is scanner.tokenize
+        assert sqlparser.fingerprint_statement is scanner.fingerprint_statement
+        assert sqlparser.StatementFingerprint is scanner.StatementFingerprint

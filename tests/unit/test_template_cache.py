@@ -22,9 +22,9 @@ from repro.patterns.models import ParsedQuery
 from repro.pipeline.config import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton import build_template
-from repro.skeleton.cache import TemplateCache
-from repro.sqlparser import parse
-from repro.sqlparser.lexer import fingerprint_statement
+from repro.skeleton.cache import LazyParsedQuery, TemplateCache
+from repro.sqlparser import SqlError, parse
+from repro.sqlparser.scanner import fingerprint_statement
 
 
 def record(sql, seq=0, user="u"):
@@ -90,7 +90,7 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         proto = record("SELECT a FROM t WHERE b = 1", seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         member = record("SELECT a FROM t WHERE b = 22", seq=1)
         hit = cache.fetch(member)
         assert hit is not None
@@ -101,7 +101,7 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         first = record("SELECT a FROM t WHERE b = 1", seq=0)
         cache.fetch(first)
-        cache.store(first.sql, full_parse(first))
+        cache.build(first)
         second = record(first.sql, seq=7)
         hit = cache.fetch(second)
         assert hit.record is second
@@ -116,7 +116,7 @@ class TestTemplateCacheMechanics:
         ]
         for rec in records(statements):
             assert cache.fetch(rec) is None
-            cache.store(rec.sql, full_parse(rec))
+            cache.build(rec)
         assert len(cache) == 2
         assert cache.key_entries == 2
         assert cache.evictions >= 2  # one per level for the oldest entry
@@ -129,13 +129,19 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         bad = record("SELECT FROM WHERE ((", seq=0)
         assert cache.fetch(bad) is None
-        try:
-            parse(bad.sql)
-        except Exception as error:
-            cache.store(bad.sql, (error, "parse_error"))
+        with pytest.raises(SqlError) as failure:
+            cache.build(bad)
+        cache.store(bad.sql, (failure.value, "parse_error"))
         assert cache.key_entries == 0
         again = cache.fetch(record(bad.sql, seq=1))
         assert isinstance(again, tuple)
+
+    def test_store_admits_failures_only(self):
+        cache = TemplateCache()
+        good = record("SELECT a FROM t WHERE b = 1", seq=0)
+        with pytest.raises(TypeError, match="build"):
+            cache.store(good.sql, full_parse(good))
+        assert len(cache) == 0 and cache.key_entries == 0
 
 
 class TestUnsafeFallback:
@@ -158,10 +164,10 @@ class TestUnsafeFallback:
         cache = TemplateCache()
         proto = record(proto_sql, seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         member = record(member_sql, seq=1)
         assert cache.fetch(member) is None  # unsafe key → full parse
-        cache.store(member.sql, full_parse(member))
+        cache.build(member)
         # The exact texts still hit through L1, with correct rebinding.
         repeat = record(member_sql, seq=2)
         hit = cache.fetch(repeat)
@@ -172,7 +178,7 @@ class TestUnsafeFallback:
         cache = TemplateCache()
         proto = record("SELECT - -5 FROM t", seq=0)
         cache.fetch(proto)
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         clone = pickle.loads(pickle.dumps(cache))
         fresh = record("SELECT - -9 FROM t", seq=1)
         assert clone.fetch(fresh) is None  # still treated as unsafe
@@ -181,7 +187,7 @@ class TestUnsafeFallback:
         cache = TemplateCache()
         proto = record("SELECT a FROM t WHERE b = 1", seq=0)
         cache.fetch(proto)
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         clone = pickle.loads(pickle.dumps(cache))
         member = record("SELECT a FROM t WHERE b = 5", seq=1)
         hit = clone.fetch(member)
@@ -196,12 +202,12 @@ class TestRawTemplateMemo:
         cache = TemplateCache()
         proto = record(proto_sql, seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         return cache
 
     def test_members_bind_without_the_scanner(self):
         cache = self.warmed("SELECT a FROM t WHERE b = 1 AND n = 'x'")
-        # Admission happened at store time: one verified raw template.
+        # Admission happened at build time: one verified raw template.
         (memo,) = cache._by_raw.values()
         assert type(memo) is tuple
         member = record("SELECT a FROM t WHERE b = 972 AND n = 'o''k'", seq=1)
@@ -271,7 +277,7 @@ class TestRawTemplateMemo:
         ):
             rec = record(sql, seq=i)
             assert cache.fetch(rec) is None
-            cache.store(rec.sql, full_parse(rec))
+            cache.build(rec)
         assert len(cache._by_raw) == 2
 
 
@@ -347,6 +353,9 @@ STATEMENTS = [
     "SELECT a FROM t WHERE b = -2.5e3",
     "SELECT count(*) FROM t GROUP BY a HAVING count(*) > 3",
     "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+    "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 42",
+    "SELECT TOP 3 a FROM t WHERE x = 'p' UNION SELECT b FROM u WHERE c = 2",
+    "SELECT TOP 9 a FROM t WHERE x = 'q' UNION SELECT b FROM u WHERE c = -7",
     "DROP TABLE t",
     "INSERT INTO t VALUES (1)",
     "SELECT broken FROM WHERE ((",
@@ -378,7 +387,7 @@ class TestCachedParseLogDifferential:
         a = record("SELECT a, b FROM t WHERE a = 0 AND b >= 3", seq=0)
         b = record("SELECT a, b FROM t WHERE a = 7 AND b >= 900", seq=1)
         cache.fetch(a)
-        cache.store(a.sql, full_parse(a))
+        cache.build(a)
         hit = cache.fetch(b)
         assert hit is not None
         proto = cache.fetch(record(a.sql, seq=2))
@@ -386,6 +395,95 @@ class TestCachedParseLogDifferential:
         assert hit.template is proto.template
         assert hit.outputs is proto.outputs
         assert hit.template_id == proto.template_id
+
+
+UNIONS = [
+    "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+    "SELECT TOP 3 a FROM t WHERE x = 'p' UNION SELECT b FROM u WHERE c = 2",
+    "SELECT a FROM T WHERE x = NULL UNION SELECT @v FROM u "
+    "UNION ALL SELECT b FROM w WHERE d IN (1, 'z') ORDER BY b",
+]
+
+
+class TestUnionTemplates:
+    """Unions take the one marker-rendering build path like any SELECT."""
+
+    @pytest.mark.parametrize("strict_triple", [False, True])
+    @pytest.mark.parametrize("fold_variables", [False, True])
+    @pytest.mark.parametrize("sql", UNIONS)
+    def test_build_template_is_byte_identical(
+        self, sql, fold_variables, strict_triple
+    ):
+        built = TemplateCache().build(
+            record(sql),
+            fold_variables=fold_variables,
+            strict_triple=strict_triple,
+        )
+        assert built.template == build_template(
+            parse(sql),
+            fold_variables=fold_variables,
+            strict_triple=strict_triple,
+        )
+        if not strict_triple:
+            assert "|| SELECT " in built.template.rest_suffix
+
+    @pytest.mark.parametrize(
+        "proto_sql, member_sql",
+        [
+            (
+                "SELECT TOP 3 a FROM t WHERE x = 'p' UNION "
+                "SELECT b FROM u WHERE c = 2",
+                "SELECT TOP 8 a FROM t WHERE x = 'it''s' UNION "
+                "SELECT b FROM u WHERE c = -5",
+            ),
+            (
+                "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+                "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 42",
+            ),
+            (
+                "SELECT a FROM t WHERE x = NULL UNION SELECT b FROM u "
+                "UNION ALL SELECT c FROM w WHERE d IN (1, 'z') ORDER BY c",
+                "SELECT a FROM t WHERE x = NULL UNION SELECT b FROM u "
+                "UNION ALL SELECT c FROM w WHERE d IN (9, 'y') ORDER BY c",
+            ),
+        ],
+    )
+    def test_new_constants_hit_l2(self, proto_sql, member_sql):
+        cache = TemplateCache()
+        proto = record(proto_sql, seq=0)
+        assert cache.fetch(proto) is None
+        cache.build(proto)
+        member = record(member_sql, seq=1)
+        hit = cache.fetch(member)
+        assert type(hit) is LazyParsedQuery
+        assert hit.clauses == full_parse(member).clauses
+        assert hit == full_parse(member)
+        assert cache.materialised >= 1  # equality built the AST
+
+
+class TestNulBearingTexts:
+    """A NUL survives the scanner only inside a literal, comment or
+    delimited identifier, and such texts have no fingerprint.  Inside an
+    identifier it could spell a marker, so build() derives these texts
+    without the marker rendering — and they must still match."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT [a\x000\x01] FROM t WHERE b = 5",
+            'SELECT "a\x00x0\x01" FROM t WHERE b = NULL',
+            "SELECT a FROM t WHERE b = '\x00' AND c = 5",
+        ],
+    )
+    def test_build_equals_full_parse(self, sql):
+        assert fingerprint_statement(sql) is None
+        cache = TemplateCache()
+        rec = record(sql)
+        assert cache.fetch(rec) is None
+        assert cache.build(rec) == full_parse(rec)
+        assert cache.key_entries == 0
+        again = cache.fetch(record(sql, seq=1))
+        assert again == full_parse(record(sql, seq=1))
 
 
 class TestExecutionConfigKnobs:
@@ -397,6 +495,16 @@ class TestExecutionConfigKnobs:
         execution = ExecutionConfig()
         assert execution.parse_cache is True
         assert execution.parse_cache_size == 4096
+
+    def test_lazy_binding_is_not_a_knob(self):
+        import repro
+
+        with pytest.raises(TypeError):
+            ExecutionConfig(lazy_parse=False)
+        with pytest.raises(TypeError):
+            repro.clean([], lazy_parse=False)
+        with pytest.raises(TypeError):
+            TemplateCache(lazy=True)
 
 
 numbers = st.integers(min_value=0, max_value=10**9)
@@ -449,7 +557,7 @@ def test_cache_hit_equals_full_parse_property(template, n, n2, s):
     cache = TemplateCache()
     proto = record(template.format(n=0, n2=1, s="seed"), seq=0)
     cache.fetch(proto)
-    cache.store(proto.sql, full_parse(proto))
+    cache.build(proto)
     member = record(template.format(n=n, n2=n2, s=s), seq=1)
     result = cache.fetch(member)
     if result is None:  # unsafe/bail fallback is allowed, wrongness is not
