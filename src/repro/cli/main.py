@@ -125,8 +125,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
         execution_kwargs["parse_cache_size"] = args.parse_cache_size
     if args.template_dict is not None:
         execution_kwargs["template_dict"] = args.template_dict
-    if args.transfer is not None:
-        execution_kwargs["transfer"] = args.transfer
     if args.no_pool_reuse:
         execution_kwargs["pool_reuse"] = False
     try:
@@ -216,9 +214,8 @@ def cmd_clean(args: argparse.Namespace) -> int:
             f"{pstats.records_out:,} with {pstats.workers} workers over "
             f"{pstats.shard_count} shards in {pstats.wall_seconds:.2f}s "
             f"({pstats.throughput:,.0f} records/s; "
-            f"{pstats.bytes_shipped:,} payload bytes shipped, "
-            f"{pstats.shm_segments} shm segments; stage seconds summed "
-            f"across workers: {timings})"
+            f"{pstats.bytes_shipped:,} payload bytes shipped; stage "
+            f"seconds summed across workers: {timings})"
         )
         return 0
     print(result.overview().format())
@@ -390,14 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes for --parallel (0 = one per CPU)",
-    )
-    clean.add_argument(
-        "--transfer",
-        choices=["pickle", "shm"],
-        default=None,
-        help="how --parallel shards reach the workers: pickle ships "
-        "each shard's columnar buffer as one pickle-5 object, shm hands "
-        "workers a shared-memory segment (output identical either way)",
     )
     clean.add_argument(
         "--no-pool-reuse",

@@ -122,16 +122,13 @@ EXECUTOR_DEPENDENT_COUNTERS = {
 #: :data:`STAGE_COUNTERS` (and hence never of :meth:`PipelineMetrics
 #: .comparable`): it exists only under the parallel executor, so these
 #: are observability for the data plane, not cross-executor contracts.
-#: ``bytes_shipped`` is the total encoded shard-buffer bytes handed to
-#: workers (each shard's buffer counted once; retries reuse it);
-#: ``shm_segments`` counts shared-memory segments created under
-#: ``transfer="shm"`` (0 under ``"pickle"``).
+#: ``bytes_shipped`` is the total pickled shard-payload bytes handed to
+#: workers (each shard's payload counted once; retries reuse it).
 MERGE_COUNTERS = (
     "records_out",
     "shards_retried",
     "shards_failed",
     "bytes_shipped",
-    "shm_segments",
     "interner_size",
 )
 

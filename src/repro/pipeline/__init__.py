@@ -43,7 +43,6 @@ from .parallel import (
     ShardReport,
     StageTimings,
     WorkerPool,
-    clean_log_parallel,
     get_worker_pool,
     set_worker_seed,
     shard_index,
@@ -90,7 +89,6 @@ __all__ = [
     "ShardReport",
     "StageTimings",
     "WorkerPool",
-    "clean_log_parallel",
     "get_worker_pool",
     "set_worker_seed",
     "shard_index",

@@ -16,9 +16,6 @@ from ..patterns.sws import SwsConfig
 #: Execution modes understood by :func:`repro.clean`.
 EXECUTION_MODES = ("batch", "streaming", "parallel")
 
-#: Shard transfer modes of the parallel executor's data plane.
-TRANSFER_MODES = ("pickle", "shm")
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -45,14 +42,6 @@ class ExecutionConfig:
         fixed-size packing.  Smaller chunks balance skewed users better
         but cost more inter-process traffic; a chunk never splits a
         user.
-    :param transfer: how parallel shards travel to the workers.
-        ``"pickle"`` (the default) encodes each shard into one
-        contiguous columnar buffer and ships it as a single pickle-5
-        bytes object; ``"shm"`` places the same buffer in a
-        ``multiprocessing.shared_memory`` segment that workers attach to
-        without copying.  The clean log is byte-identical either way —
-        only transfer cost and the merge-stage ``bytes_shipped`` /
-        ``shm_segments`` counters change.
     :param pool_reuse: keep the worker process pool warm between runs.
         ``True`` (the default) parks the pool in a process-wide registry
         (see :func:`repro.pipeline.parallel.get_worker_pool`) so
@@ -104,7 +93,6 @@ class ExecutionConfig:
     workers: int = 0
     max_block_queries: int = 10_000
     chunk_size: int = 0
-    transfer: str = "pickle"
     pool_reuse: bool = True
     max_shard_retries: int = 2
     retry_backoff: float = 0.05
@@ -128,11 +116,6 @@ class ExecutionConfig:
         if self.chunk_size < 0:
             raise ValueError(
                 f"chunk_size must be >= 0 (0 = adaptive), got {self.chunk_size}"
-            )
-        if self.transfer not in TRANSFER_MODES:
-            raise ValueError(
-                f"transfer must be one of {TRANSFER_MODES}, "
-                f"got {self.transfer!r}"
             )
         if self.max_shard_retries < 0:
             raise ValueError(

@@ -10,13 +10,10 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
    exactly one task.  With the default ``chunk_size=0`` the shard count
    adapts to the fan-out (≈ ``2 × workers`` tasks, rebalanced by record
    counts); an explicit ``chunk_size`` pins the classic fixed packing.
-2. **Fan out** — each shard is packed into one contiguous columnar
-   buffer (:func:`repro.store.columnar.encode_shard`) and handed to a
-   worker either as a single pickle-5 bytes object
-   (``transfer="pickle"``) or as a ``multiprocessing.shared_memory``
-   segment the worker attaches to without copying
-   (``transfer="shm"``).  The worker decodes lazily straight into the
-   batch pipeline's own stage functions
+2. **Fan out** — each shard is pickled once as one payload of plain
+   record field tuples (:func:`repro.store.columnar.encode_shard`) and
+   submitted to a worker, which decodes it straight into the batch
+   pipeline's own stage functions
    (:func:`~repro.pipeline.framework.dedup_stage` →
    :func:`~repro.pipeline.framework.parse_stage` →
    :func:`~repro.pipeline.framework.mine_stage` →
@@ -45,23 +42,13 @@ is correctness-checked per hit, only the ``parse_cache_*`` counters
 down atexit; a raising run discards its pool rather than leaving queued
 shards running behind the caller's back.
 
-**Shared-memory lifecycle.**  The parent owns every segment: it
-creates, fills and — once the shard has completed, terminally failed,
-or the run is over — closes *and unlinks* it.  Workers attach without
-registering with the resource tracker (the parent's unlink is the
-single point of truth), read the buffer eagerly during decode, and
-close their mapping before the report returns.  A worker SIGKILLed
-mid-shard therefore leaks nothing: the kernel drops its mapping, the
-segment survives for the retried worker, and the parent unlinks it on
-the way out.
-
 **Fault tolerance.**  The fan-out runs on
 :class:`concurrent.futures.ProcessPoolExecutor` rather than
 ``multiprocessing.Pool`` because a killed worker surfaces promptly as
 ``BrokenProcessPool`` instead of hanging the parent forever.  A shard
 whose worker crashed, timed out (``execution.task_timeout``) or raised a
 transient exception is re-queued up to ``execution.max_shard_retries``
-times with exponential backoff (the encoded buffer is reused across
+times with exponential backoff (the pickled payload is reused across
 retries); a crashed or timed-out pool is rebuilt in place
 (:meth:`WorkerPool.rebuild`).  A shard that exhausts its retries is
 handed to the config's ``error_policy`` — ``strict`` raises
@@ -81,7 +68,6 @@ import zlib
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -90,7 +76,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..errors import (
@@ -152,14 +137,6 @@ class StageTimings:
                 setattr(timings, name, stage.wall_seconds)
         return timings
 
-    def add(self, other: "StageTimings") -> None:
-        self.dedup += other.dedup
-        self.parse += other.parse
-        self.mine += other.mine
-        self.detect += other.detect
-        self.solve += other.solve
-        self.merge += other.merge
-
     @property
     def total(self) -> float:
         return (
@@ -190,11 +167,8 @@ class ShardReport:
     #: into the run-level dictionary — shard-local ids are meaningless
     #: outside the worker, the fingerprints travel home with the report.
     interner: TemplateInterner = field(default_factory=TemplateInterner)
-    #: how the shard reached its worker — ``"pickle"`` / ``"shm"`` for
-    #: pool runs, ``"inline"`` when it never left the parent (both
+    #: pickled payload size shipped for this shard (0 when it ran inline;
     #: annotated by the parent, not the worker).
-    transfer: str = "inline"
-    #: encoded payload size shipped for this shard (0 when inline).
     bytes_shipped: int = 0
 
 
@@ -221,11 +195,9 @@ class ParallelStats:
         (worker crashes, timeouts, transient exceptions).
     :param shards_failed: shards that exhausted their retries and were
         handed to the error policy.
-    :param bytes_shipped: total encoded shard-buffer bytes the run
-        shipped to workers (each shard's buffer counted once — retries
+    :param bytes_shipped: total pickled shard-payload bytes the run
+        shipped to workers (each shard's payload counted once — retries
         reuse it); also on the merge stage as ``bytes_shipped``.
-    :param shm_segments: shared-memory segments the run created (0 under
-        ``transfer="pickle"``); also on the merge stage.
     """
 
     workers: int
@@ -239,7 +211,6 @@ class ParallelStats:
     shards_retried: int = 0
     shards_failed: int = 0
     bytes_shipped: int = 0
-    shm_segments: int = 0
 
     @property
     def records_in(self) -> int:
@@ -379,30 +350,6 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
     return _WORKER_CACHE
 
 
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without tracker registration.
-
-    The parent is the single owner: it created the segment and will
-    unlink it.  Registering the attachment with this process's resource
-    tracker would make the tracker try to clean up (or warn about) a
-    segment it does not own — ``track=False`` exists for exactly this
-    on Python 3.13+; older interpreters get the same effect by muting
-    ``register`` for the duration of the attach (bpo-39959).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
 def _clean_shard_log(
     shard: int,
     shard_log: QueryLog,
@@ -494,31 +441,16 @@ def _clean_shard(
 
 
 def _clean_shard_encoded(
-    payload: Tuple[int, str, Union[bytes, str], int, PipelineConfig]
+    payload: Tuple[int, bytes, PipelineConfig]
 ) -> ShardReport:
-    """Worker body over an encoded shard buffer (the pool path).
-
-    ``data`` is the contiguous :func:`~repro.store.columnar
-    .encode_shard` buffer itself (``transfer="pickle"``) or the name of
-    the shared-memory segment holding it (``transfer="shm"``).  Decoding
-    reads the buffer eagerly, so the shm mapping is closed before any
-    stage runs — a crash after this point cannot pin the segment.
-    """
-    shard, kind, data, nbytes, config = payload
+    """Worker body over a pickled :func:`~repro.store.columnar
+    .encode_shard` payload (the pool path), with the worker's persistent
+    parse cache."""
+    shard, data, config = payload
     cache = _process_parse_cache(config)
-    if kind == "shm":
-        segment = _attach_shm(data)  # type: ignore[arg-type]
-        try:
-            view = segment.buf[:nbytes]
-            try:
-                records = decode_shard(view)
-            finally:
-                view.release()
-        finally:
-            segment.close()
-    else:
-        records = decode_shard(data)
-    return _clean_shard_log(shard, QueryLog(records), config, cache=cache)
+    return _clean_shard_log(
+        shard, QueryLog(decode_shard(data)), config, cache=cache
+    )
 
 
 # ----------------------------------------------------------------------
@@ -639,69 +571,18 @@ def set_worker_seed(
     here (a mismatched seed is ignored — the invariant on
     :func:`~repro.pipeline.framework.parse_log` forbids sharing caches
     across knob combinations).  Existing registry pools were spawned
-    under the previous seed and are retired.  ``set_worker_seed(None)``
-    clears the seed.
+    under the previous seed and are retired — unless the seed is
+    unchanged (exported seeds are byte-deterministic), in which case the
+    warm pools keep running.  ``set_worker_seed(None)`` clears the seed.
     """
     global _POOL_SEED
-    if cache is None:
-        _POOL_SEED = None
-    else:
-        _POOL_SEED = ((fold_variables, strict_triple), cache.export_seed())
-    shutdown_worker_pools(wait=False)
-
-
-# ----------------------------------------------------------------------
-# Shard transfer (parent side)
-
-
-@dataclass
-class _ShardTransfer:
-    """One shard's encoded buffer en route to a worker."""
-
-    kind: str  # "pickle" | "shm"
-    data: Union[bytes, str]  # the buffer itself, or the segment name
-    nbytes: int
-    segment: Optional[shared_memory.SharedMemory] = None
-
-
-def _encode_transfer(
-    records: Sequence[LogRecord], kind: str
-) -> _ShardTransfer:
-    blob = encode_shard(records)
-    if kind == "shm":
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(blob))
-        )
-        segment.buf[:len(blob)] = blob
-        return _ShardTransfer("shm", segment.name, len(blob), segment)
-    return _ShardTransfer("pickle", blob, len(blob))
-
-
-def _release_transfer(transfer: Optional[_ShardTransfer]) -> None:
-    """Close and unlink a transfer's segment (idempotent, crash-safe)."""
-    if transfer is None or transfer.segment is None:
+    seed = None
+    if cache is not None:
+        seed = ((fold_variables, strict_triple), cache.export_seed())
+    if seed == _POOL_SEED:
         return
-    segment, transfer.segment = transfer.segment, None
-    try:
-        segment.close()
-    finally:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-@dataclass
-class _TransferStats:
-    """Parent-side transfer accounting for one run."""
-
-    bytes_shipped: int = 0
-    shm_segments: int = 0
-
-    def add(self, transfer: _ShardTransfer) -> None:
-        self.bytes_shipped += transfer.nbytes
-        if transfer.kind == "shm":
-            self.shm_segments += 1
+    _POOL_SEED = seed
+    shutdown_worker_pools(wait=False)
 
 
 class ParallelCleaner:
@@ -757,13 +638,13 @@ class ParallelCleaner:
         payloads: Dict[int, Tuple[int, List[LogRecord], PipelineConfig]],
         quarantine: QuarantineChannel,
         cache: Optional[TemplateCache] = None,
-    ) -> Tuple[List[ShardReport], int, List[int], _TransferStats]:
+    ) -> Tuple[List[ShardReport], int, List[int], int]:
         """Run shards in-process (one worker, or nothing to fan out).
 
         Same retry and error-policy contract as the pool path, minus the
         timeout (there is no separate process to abandon) and minus the
-        codec — the records never leave the parent, so encoding them
-        would be pure overhead.
+        pickling — the records never leave the parent, so encoding them
+        would be pure overhead (hence zero bytes shipped).
         """
         execution = self.config.execution
         max_attempts = execution.max_shard_retries + 1
@@ -791,14 +672,14 @@ class ParallelCleaner:
                         time.sleep(
                             execution.retry_backoff * 2 ** (attempt - 1)
                         )
-        return reports, retried, failed, _TransferStats()
+        return reports, retried, failed, 0
 
     def _run_pool(
         self,
         payloads: Dict[int, Tuple[int, List[LogRecord], PipelineConfig]],
         workers: int,
         quarantine: QuarantineChannel,
-    ) -> Tuple[List[ShardReport], int, List[int], _TransferStats]:
+    ) -> Tuple[List[ShardReport], int, List[int], int]:
         """Fan the shards out over a process pool, re-queueing failures.
 
         Each round submits every still-pending shard and waits for the
@@ -808,8 +689,10 @@ class ParallelCleaner:
         charged — innocents succeed on the next round, and the
         accounting stays bounded: no shard is ever submitted more than
         ``max_shard_retries + 1`` times.  Each shard is encoded exactly
-        once; its buffer (or shm segment) is reused across retries and
-        released the moment the shard completes or terminally fails.
+        once; its payload is reused across retries and dropped the
+        moment the shard completes or terminally fails.  Returns the
+        reports, the retry count, the failed shards and the payload
+        bytes shipped.
         """
         execution = self.config.execution
         max_attempts = execution.max_shard_retries + 1
@@ -819,8 +702,8 @@ class ParallelCleaner:
         reports: List[ShardReport] = []
         retried = 0
         failed: List[int] = []
-        transfers: Dict[int, _ShardTransfer] = {}
-        transfer_stats = _TransferStats()
+        encoded: Dict[int, bytes] = {}
+        bytes_shipped = 0
         reuse = execution.pool_reuse
         if reuse:
             pool = get_worker_pool(workers)
@@ -841,7 +724,7 @@ class ParallelCleaner:
                     )
                     failed.append(shard)
                     del pending[shard]
-                    _release_transfer(transfers.pop(shard, None))
+                    encoded.pop(shard, None)
                 if not pending:
                     break
                 round_number += 1
@@ -854,23 +737,13 @@ class ParallelCleaner:
                 submitted: Dict[futures.Future, int] = {}
                 broken = False
                 for shard, records in sorted(pending.items()):
-                    transfer = transfers.get(shard)
-                    if transfer is None:
-                        transfer = _encode_transfer(
-                            records, execution.transfer
-                        )
-                        transfers[shard] = transfer
-                        transfer_stats.add(transfer)
+                    data = encoded.get(shard)
+                    if data is None:
+                        data = encoded[shard] = encode_shard(records)
+                        bytes_shipped += len(data)
                     try:
                         future = pool.submit(
-                            _clean_shard_encoded,
-                            (
-                                shard,
-                                transfer.kind,
-                                transfer.data,
-                                transfer.nbytes,
-                                self.config,
-                            ),
+                            _clean_shard_encoded, (shard, data, self.config)
                         )
                     except BrokenProcessPool as exc:
                         # A warm worker died while the wave was still
@@ -904,11 +777,7 @@ class ParallelCleaner:
                         attempts[shard] += 1
                         errors[shard] = repr(exc)
                     else:
-                        transfer = transfers.pop(shard, None)
-                        if transfer is not None:
-                            report.transfer = transfer.kind
-                            report.bytes_shipped = transfer.nbytes
-                            _release_transfer(transfer)
+                        report.bytes_shipped = len(encoded.pop(shard))
                         reports.append(report)
                         del pending[shard]
                 for future in not_done:
@@ -933,12 +802,9 @@ class ParallelCleaner:
                 discard_worker_pool(workers)
             raise
         finally:
-            for transfer in transfers.values():
-                _release_transfer(transfer)
-            transfers.clear()
             if not reuse:
                 pool.shutdown(wait=False)
-        return reports, retried, failed, transfer_stats
+        return reports, retried, failed, bytes_shipped
 
     def run_source(self, source: "LogSource") -> QueryLog:
         """Clean a :class:`~repro.store.sources.LogSource` end to end.
@@ -1000,20 +866,21 @@ class ParallelCleaner:
         # a zero/one-process pool — and one worker gains nothing from
         # the fork+pickle tax.
         if workers == 1 or len(payloads) <= 1:
-            reports, retried, failed, transfer_stats = self._run_inline(
+            reports, retried, failed, bytes_shipped = self._run_inline(
                 payloads, quarantine, dict_cache
             )
         else:
             if dict_cache is not None:
-                # Replaces any previous seed and retires existing pools
-                # (they were spawned under the old seed); the new pool's
-                # workers start their persistent caches dictionary-warm.
+                # A new seed retires existing pools (they were spawned
+                # under the old one) and the next pool's workers start
+                # their persistent caches dictionary-warm; the same seed
+                # again keeps the warm pool.
                 set_worker_seed(
                     dict_cache,
                     fold_variables=self.config.fold_variables,
                     strict_triple=self.config.strict_triple,
                 )
-            reports, retried, failed, transfer_stats = self._run_pool(
+            reports, retried, failed, bytes_shipped = self._run_pool(
                 payloads, workers, quarantine
             )
 
@@ -1041,8 +908,7 @@ class ParallelCleaner:
             stats.shards.append(report)
         stats.shards_retried = retried
         stats.shards_failed = len(failed)
-        stats.bytes_shipped = transfer_stats.bytes_shipped
-        stats.shm_segments = transfer_stats.shm_segments
+        stats.bytes_shipped = bytes_shipped
         if dict_preloaded:
             # One preload event for the run's dictionary-warmed cache
             # (the shards' ledgers never see the preload — it happens
@@ -1057,8 +923,7 @@ class ParallelCleaner:
         merge_stage.count("records_out", len(cleaned))
         merge_stage.count("shards_retried", retried)
         merge_stage.count("shards_failed", len(failed))
-        merge_stage.count("bytes_shipped", transfer_stats.bytes_shipped)
-        merge_stage.count("shm_segments", transfer_stats.shm_segments)
+        merge_stage.count("bytes_shipped", bytes_shipped)
         # The run-level dictionary size: global distinct templates (the
         # "parse" counter carries the per-shard sum, like cache misses).
         merge_stage.count("interner_size", len(run_interner))
@@ -1074,24 +939,3 @@ class ParallelCleaner:
         self.quarantine = quarantine
         return cleaned
 
-
-def clean_log_parallel(
-    log: QueryLog,
-    config: Optional[PipelineConfig] = None,
-    *,
-    workers: Optional[int] = None,
-) -> Tuple[QueryLog, ParallelStats]:
-    """One-call parallel clean: (clean log, parallel statistics).
-
-    ``workers`` overrides ``config.execution.workers`` when given.
-    """
-    from dataclasses import replace
-
-    effective = config or PipelineConfig()
-    if workers is not None:
-        effective = replace(
-            effective, execution=replace(effective.execution, workers=workers)
-        )
-    cleaner = ParallelCleaner(effective)
-    cleaned = cleaner.run(log)
-    return cleaned, cleaner.stats

@@ -7,8 +7,8 @@ and run checkpoints.
   the single entry point for reading any on-disk log.
 * :mod:`~repro.store.columnar` — the ``repro-columnar`` on-disk format:
   a template dictionary plus zlib-compressed per-record column chunks —
-  and the in-memory shard codec (:func:`encode_shard` /
-  :func:`decode_shard`) the parallel executor ships to workers.
+  and the shard payload (:func:`encode_shard` / :func:`decode_shard`)
+  the parallel executor ships to workers.
 * :mod:`~repro.store.checkpoint` — :class:`RunCheckpoint` and the
   chunked streaming driver behind ``repro.clean(source,
   checkpoint_dir=...)`` / ``--resume``.
@@ -28,7 +28,6 @@ from .columnar import (
     encode_sql,
     is_columnar_store,
     read_manifest,
-    shard_record_count,
     store_size_bytes,
     write_columnar,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "decode_sql",
     "encode_shard",
     "decode_shard",
-    "shard_record_count",
     "RunCheckpoint",
     "CheckpointError",
     "clean_streaming_source",

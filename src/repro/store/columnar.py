@@ -52,10 +52,8 @@ import json
 import os
 import pickle
 import re
-import struct
 import tempfile
 import zlib
-from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -400,310 +398,30 @@ def store_size_bytes(path: PathLike) -> int:
 
 
 # ----------------------------------------------------------------------
-# In-memory shard codec (the parallel executor's wire format)
+# Shard payload (the parallel executor's wire format)
 #
-# Same template-dictionary idea as the on-disk store, but tuned for IPC
-# rather than persistence: one shard of records becomes ONE contiguous
-# ``bytes`` blob of packed numeric columns and concatenated UTF-8 string
-# sections.  A blob ships to a worker either as a single pickle-5 bytes
-# object (no per-record object overhead) or as a ``SharedMemory``
-# segment the worker attaches to (no copy at all); ``decode_shard``
-# reconstructs the records lazily, straight into the parse fast path.
-#
-# The format is process-local by design — native endianness, no
-# versioned persistence contract beyond the magic/version check — and
-# unconditionally lossless for *canonical* records (the field types
-# ``LogRecord`` documents).  A record with any off-type field (sql=None,
-# an integer sql, a non-float timestamp, an out-of-int64-range seq…)
-# cannot ride the packed columns exactly, so it travels in a pickled
-# "oddball" side list keyed by its position; such rows exist precisely
-# so poisoned logs reach the workers' validate stage unmangled.
-
-SHARD_MAGIC = b"RSH1"
-SHARD_FORMAT_VERSION = 1
-
-#: Section count of the shard blob (fixed layout, see ``encode_shard``).
-_SHARD_SECTIONS = 20
-
-_SHARD_HEADER = struct.Struct("<4sHqq")
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
+# One shard of records travels to a worker as a single protocol-5 pickle
+# of plain field tuples in ``LogRecord`` field order.  Pickle keeps every
+# field's exact type and value, so malformed rows (``sql=None``, an
+# integer timestamp, a NaN, a row count beyond int64) reach the worker's
+# validate stage unmangled and are quarantined there.  Tuples rather
+# than pickled ``LogRecord`` objects keep the payload, and with it the
+# parent's peak memory, smaller.  The format is process-local: no magic,
+# no version.
 
 
-def _is_canonical_record(record: LogRecord) -> bool:
-    """True when every field fits the packed columns *exactly*.
-
-    Deliberately `type(...) is` — not ``isinstance`` — so subclasses,
-    bools, ints-as-timestamps and other lossy coercions all take the
-    pickled oddball path and round-trip bit for bit.
-    """
-    return (
-        type(record) is LogRecord
-        and type(record.seq) is int
-        and _INT64_MIN <= record.seq <= _INT64_MAX
-        and type(record.sql) is str
-        and type(record.timestamp) is float
-        and (record.user is None or type(record.user) is str)
-        and (record.ip is None or type(record.ip) is str)
-        and (record.session is None or type(record.session) is str)
-        and (
-            record.rows is None
-            or (
-                type(record.rows) is int
-                and _INT64_MIN <= record.rows <= _INT64_MAX
-            )
-        )
+def encode_shard(records: Iterable[LogRecord]) -> bytes:
+    """Pickle one shard of records as field tuples, order preserved."""
+    return pickle.dumps(
+        [
+            (r.seq, r.sql, r.timestamp, r.user, r.ip, r.session, r.rows)
+            for r in records
+        ],
+        protocol=5,
     )
 
 
-class _StringDictColumn:
-    """Dictionary-encoded optional-string column (user / ip / session)."""
-
-    __slots__ = ("ids", "index", "parts")
-
-    def __init__(self) -> None:
-        self.ids = array("i")
-        self.index: Dict[str, int] = {}
-        self.parts: List[bytes] = []
-
-    def add(self, value: Optional[str]) -> None:
-        if value is None:
-            self.ids.append(-1)
-            return
-        assigned = self.index.get(value)
-        if assigned is None:
-            assigned = len(self.parts)
-            self.index[value] = assigned
-            self.parts.append(value.encode("utf-8"))
-        self.ids.append(assigned)
-
-    def sections(self) -> List[bytes]:
-        offsets = array("Q", [0])
-        total = 0
-        for part in self.parts:
-            total += len(part)
-            offsets.append(total)
-        return [self.ids.tobytes(), offsets.tobytes(), b"".join(self.parts)]
-
-
-def _decode_string_dict(
-    ids_bytes: bytes, offsets_bytes: bytes, blob: bytes
-) -> Tuple[array, List[Optional[str]]]:
-    ids = array("i")
-    ids.frombytes(ids_bytes)
-    offsets = array("Q")
-    offsets.frombytes(offsets_bytes)
-    values = [
-        blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-        for i in range(len(offsets) - 1)
-    ]
-    return ids, values
-
-
-def encode_shard(records: Sequence[LogRecord]) -> bytes:
-    """Pack one shard of records into a single contiguous buffer.
-
-    Layout: a fixed header (magic, version, total record count,
-    canonical record count) followed by 20 length-prefixed sections —
-    ``seq``/``timestamp``/``template-id`` int64/float64 columns, the
-    per-record constant counts plus cumulative constant offsets and one
-    concatenated constants blob, the shard-local template dictionary
-    (offsets + blob), three dictionary-encoded string columns
-    (user/ip/session), a rows presence+value pair, and the pickled
-    oddball side list.  ``decode_shard`` is the exact inverse.
-    """
-    seqs = array("q")
-    timestamps = array("d")
-    template_ids = array("q")
-    constant_counts = array("I")
-    constant_offsets = array("Q", [0])
-    constant_parts: List[bytes] = []
-    constant_total = 0
-    template_index: Dict[str, int] = {}
-    template_parts: List[bytes] = []
-    users = _StringDictColumn()
-    ips = _StringDictColumn()
-    sessions = _StringDictColumn()
-    rows_flags = bytearray()
-    rows_values = array("q")
-    oddballs: List[Tuple[int, LogRecord]] = []
-    # Exact-text memo: logs repeat statement texts heavily, so most
-    # records skip the constant-extraction regex entirely.
-    memo: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
-
-    for position, record in enumerate(records):
-        if not _is_canonical_record(record):
-            oddballs.append((position, record))
-            continue
-        sql = record.sql
-        encoded = memo.get(sql)
-        if encoded is None:
-            try:
-                template, constants = encode_sql(sql)
-            except ValueError:
-                template_id, constants = VERBATIM_TEMPLATE, [sql]
-            else:
-                template_id = template_index.get(template)
-                if template_id is None:
-                    template_id = len(template_parts)
-                    template_index[template] = template_id
-                    template_parts.append(template.encode("utf-8"))
-            encoded = (template_id, tuple(constants))
-            memo[sql] = encoded
-        template_id, constants = encoded
-        seqs.append(record.seq)
-        timestamps.append(record.timestamp)
-        template_ids.append(template_id)
-        constant_counts.append(len(constants))
-        for constant in constants:
-            part = constant.encode("utf-8")
-            constant_total += len(part)
-            constant_offsets.append(constant_total)
-            constant_parts.append(part)
-        users.add(record.user)
-        ips.add(record.ip)
-        sessions.add(record.session)
-        if record.rows is None:
-            rows_flags.append(0)
-            rows_values.append(0)
-        else:
-            rows_flags.append(1)
-            rows_values.append(record.rows)
-
-    template_offsets = array("Q", [0])
-    template_total = 0
-    for part in template_parts:
-        template_total += len(part)
-        template_offsets.append(template_total)
-
-    sections = [
-        seqs.tobytes(),
-        timestamps.tobytes(),
-        template_ids.tobytes(),
-        constant_counts.tobytes(),
-        constant_offsets.tobytes(),
-        b"".join(constant_parts),
-        template_offsets.tobytes(),
-        b"".join(template_parts),
-        *users.sections(),
-        *ips.sections(),
-        *sessions.sections(),
-        bytes(rows_flags),
-        rows_values.tobytes(),
-        pickle.dumps(oddballs, protocol=pickle.HIGHEST_PROTOCOL),
-    ]
-    assert len(sections) == _SHARD_SECTIONS
-    header = _SHARD_HEADER.pack(
-        SHARD_MAGIC, SHARD_FORMAT_VERSION, len(records), len(seqs)
-    )
-    lengths = struct.pack(
-        "<%dq" % _SHARD_SECTIONS, *(len(section) for section in sections)
-    )
-    return b"".join([header, lengths, *sections])
-
-
-def shard_record_count(buffer) -> int:
-    """Total records in an encoded shard (header peek, no decode)."""
-    view = memoryview(buffer)
-    magic, version, total, _ = _SHARD_HEADER.unpack_from(view, 0)
-    view.release()
-    if magic != SHARD_MAGIC or version != SHARD_FORMAT_VERSION:
-        raise ValueError("not an encoded shard buffer")
-    return total
-
-
-def decode_shard(buffer) -> Iterator[LogRecord]:
-    """Decode an :func:`encode_shard` blob back into records, lazily.
-
-    Accepts any buffer object (``bytes``, ``memoryview``,
-    ``SharedMemory.buf`` slices).  All reads from the buffer happen
-    *before* the first record is yielded, so a caller may release the
-    underlying memory (e.g. close a shared-memory segment) as soon as
-    this function returns, and iterate at leisure.
-    """
-    view = memoryview(buffer)
-    try:
-        magic, version, total, canonical = _SHARD_HEADER.unpack_from(view, 0)
-        if magic != SHARD_MAGIC or version != SHARD_FORMAT_VERSION:
-            raise ValueError("not an encoded shard buffer")
-        offset = _SHARD_HEADER.size
-        lengths = struct.unpack_from("<%dq" % _SHARD_SECTIONS, view, offset)
-        offset += 8 * _SHARD_SECTIONS
-        sections: List[bytes] = []
-        for length in lengths:
-            sections.append(bytes(view[offset:offset + length]))
-            offset += length
-    finally:
-        view.release()
-
-    seqs = array("q")
-    seqs.frombytes(sections[0])
-    timestamps = array("d")
-    timestamps.frombytes(sections[1])
-    template_ids = array("q")
-    template_ids.frombytes(sections[2])
-    constant_counts = array("I")
-    constant_counts.frombytes(sections[3])
-    constant_offsets = array("Q")
-    constant_offsets.frombytes(sections[4])
-    constant_blob = sections[5]
-    template_offsets = array("Q")
-    template_offsets.frombytes(sections[6])
-    template_blob = sections[7]
-    templates = [
-        template_blob[
-            template_offsets[i]:template_offsets[i + 1]
-        ].decode("utf-8")
-        for i in range(len(template_offsets) - 1)
-    ]
-    user_ids, user_dict = _decode_string_dict(*sections[8:11])
-    ip_ids, ip_dict = _decode_string_dict(*sections[11:14])
-    session_ids, session_dict = _decode_string_dict(*sections[14:17])
-    rows_flags = sections[17]
-    rows_values = array("q")
-    rows_values.frombytes(sections[18])
-    oddballs: List[Tuple[int, LogRecord]] = pickle.loads(sections[19])
-    if len(seqs) != canonical:
-        raise ValueError("corrupt shard buffer: column length mismatch")
-
-    def generate() -> Iterator[LogRecord]:
-        oddball_at = dict(oddballs)
-        column = 0
-        constant_base = 0
-        for position in range(total):
-            oddball = oddball_at.get(position)
-            if oddball is not None:
-                yield oddball
-                continue
-            template_id = template_ids[column]
-            count = constant_counts[column]
-            constants = [
-                constant_blob[
-                    constant_offsets[constant_base + j]:
-                    constant_offsets[constant_base + j + 1]
-                ].decode("utf-8")
-                for j in range(count)
-            ]
-            constant_base += count
-            if template_id == VERBATIM_TEMPLATE:
-                sql = constants[0]
-            else:
-                sql = decode_sql(templates[template_id], constants)
-            user_id = user_ids[column]
-            ip_id = ip_ids[column]
-            session_id = session_ids[column]
-            yield LogRecord(
-                seq=seqs[column],
-                sql=sql,
-                timestamp=timestamps[column],
-                user=None if user_id < 0 else user_dict[user_id],
-                ip=None if ip_id < 0 else ip_dict[ip_id],
-                session=(
-                    None if session_id < 0 else session_dict[session_id]
-                ),
-                rows=rows_values[column] if rows_flags[column] else None,
-            )
-            column += 1
-
-    return generate()
+def decode_shard(buffer) -> List[LogRecord]:
+    """The records of an :func:`encode_shard` payload (any bytes-like
+    buffer), in their original order."""
+    return [LogRecord(*fields) for fields in pickle.loads(buffer)]

@@ -1,4 +1,4 @@
-"""Property-based tests: shard-plan and shard-codec invariants.
+"""Property-based tests: shard-plan and shard-payload invariants.
 
 The parallel data plane rests on two contracts this suite fuzzes:
 
@@ -8,9 +8,8 @@ The parallel data plane rests on two contracts this suite fuzzes:
   chunk size only repacks whole users, never divides one;
 * :func:`repro.store.columnar.encode_shard` /
   :func:`~repro.store.columnar.decode_shard` **round-trip** arbitrary
-  records — including the verbatim-fallback statements the template
-  codec cannot compress and the invalid rows (``sql=None``, integer
-  SQL, ``NaN`` timestamps) that must reach a worker's validate stage
+  records — including the invalid rows (``sql=None``, integer SQL,
+  ``NaN`` timestamps) that must reach a worker's validate stage
   unmangled to be quarantined there.
 """
 
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 
 from repro.log import LogRecord
 from repro.pipeline.parallel import shard_records
-from repro.store.columnar import decode_shard, encode_shard, shard_record_count
+from repro.store.columnar import decode_shard, encode_shard
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -34,10 +33,8 @@ users = st.sampled_from(
     ["alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi", None]
 )
 
-#: Statement texts spanning the codec's regimes: templatable SELECTs
-#: (constants fold into the template dictionary), quote-heavy literals,
-#: statements with the codec's marker byte, and arbitrary text that
-#: falls back to verbatim storage.
+#: Statement texts: templatable SELECTs, quote-heavy literals, the
+#: columnar store's marker byte, and arbitrary text.
 sql_texts = st.one_of(
     st.sampled_from(
         [
@@ -72,9 +69,8 @@ canonical_records = st.builds(
 )
 
 #: Malformed records of the kinds the validate stage quarantines — the
-#: codec must carry them to the worker byte-for-byte, not normalise
-#: them away.  Also out-of-range integers that cannot ride the int64
-#: columns.
+#: payload must carry them to the worker byte-for-byte, not normalise
+#: them away.  Also integers beyond int64.
 oddball_records = st.builds(
     LogRecord,
     seq=st.one_of(st.integers(), st.floats(allow_nan=False)),
@@ -185,16 +181,14 @@ class TestShardPlanIsPartition:
 
 
 # ----------------------------------------------------------------------
-# Shard codec: lossless round trip
+# Shard payload: lossless round trip
 
 
 class TestShardCodecRoundTrip:
     @given(records=mixed_records)
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_preserves_every_record(self, records):
-        buffer = encode_shard(records)
-        assert shard_record_count(buffer) == len(records)
-        decoded = list(decode_shard(buffer))
+        decoded = list(decode_shard(encode_shard(records)))
         assert len(decoded) == len(records)
         for original, restored in zip(records, decoded):
             assert same_record(original, restored), (original, restored)

@@ -116,7 +116,12 @@ class TestExports:
         assert not hasattr(repro, "clean_log")
         assert not hasattr(repro.pipeline, "clean_log")
         assert not hasattr(repro.pipeline, "clean_log_streaming")
+        assert not hasattr(repro.pipeline, "clean_log_parallel")
         assert not hasattr(repro.log, "read_csv")
         assert not hasattr(repro.log, "read_jsonl")
         with pytest.raises(TypeError):
             StreamingCleaner(config(), 4)
+        with pytest.raises(TypeError):
+            repro.clean(stifle_log(), transfer="pickle")
+        with pytest.raises(TypeError):
+            ExecutionConfig(mode="parallel", transfer="pickle")

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+import repro
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
 from repro.pipeline import (
@@ -12,7 +13,6 @@ from repro.pipeline import (
     ParallelCleaner,
     PipelineConfig,
     StreamingCleaner,
-    clean_log_parallel,
     parse_log,
     shard_index,
     shard_records,
@@ -157,6 +157,23 @@ class TestParallelCleaner:
         assert timings["parse"] > 0.0
         assert stats.timings.total >= timings["parse"]
 
+    def test_bytes_shipped_accounting(self):
+        """Each shard's pickled payload is counted once, per shard and in
+        total, on the stats and on the merge-stage ledger."""
+        log = many_user_log(users=12, per_user=8)
+        cleaner = ParallelCleaner(parallel_config(2, chunk_size=24))
+        cleaner.run(log)
+        stats = cleaner.stats
+        assert stats.bytes_shipped > 0
+        assert all(s.bytes_shipped > 0 for s in stats.shards)
+        assert sum(s.bytes_shipped for s in stats.shards) == stats.bytes_shipped
+        merge = stats.metrics.stage("merge").counters
+        assert merge["bytes_shipped"] == stats.bytes_shipped
+        # inline runs never pickle their shards
+        inline = ParallelCleaner(parallel_config(1))
+        inline.run(log)
+        assert inline.stats.bytes_shipped == 0
+
     def test_workers_resolve_from_cpu_count(self):
         cleaner = ParallelCleaner(parallel_config(0))
         assert cleaner.stats.workers >= 1
@@ -164,10 +181,13 @@ class TestParallelCleaner:
     def test_clean_log_parallel_convenience(self):
         log = many_user_log(users=6, per_user=4)
         base = PipelineConfig(detection=DetectionContext(key_columns=KEYS))
-        cleaned, stats = clean_log_parallel(log, base, workers=2)
+        result = repro.clean(
+            log, base, execution=ExecutionConfig(mode="parallel", workers=2)
+        )
+        stats = result.parallel_stats
         assert stats.workers == 2
         batch = CleaningPipeline(base).run(log)
-        assert cleaned.records() == batch.clean_log.records()
+        assert result.clean_log.records() == batch.clean_log.records()
         # the caller's config was not mutated
         assert base.execution.workers == 0
 
