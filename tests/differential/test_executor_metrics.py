@@ -17,6 +17,7 @@ suite asserts, for each executor:
 * the clean log itself still matches batch (the pre-existing guarantee).
 """
 
+import gc
 import time
 
 import pytest
@@ -268,23 +269,33 @@ class TestRecorderOverhead:
     def test_batch_overhead_is_small(self):
         """The acceptance bar is ≤5% batch overhead; asserting that
         tightly on shared CI is flaky, so this guards the order of
-        magnitude (best-of-3 under a generous bound) while the E21
-        benchmark records the precise ratio in BENCH_parallel.json."""
+        magnitude (best-of-7 under a generous bound) while the E21
+        benchmark records the precise ratio in BENCH_parallel.json.
+
+        A run takes a few tens of milliseconds, so the host's speed
+        drifts across the measurement: plain and recorded runs alternate
+        so that drift lands on both sides, and each starts from a
+        collected heap so one side does not pay the other's garbage."""
         log = workload_log("seed2018")
         pipeline = CleaningPipeline(config())
-        pipeline.run(log, recorder=NULL)  # warm parse caches / imports
+        # warm parse caches, imports and both recorder paths
+        pipeline.run(log, recorder=NULL)
+        pipeline.run(log, recorder=Recorder())
 
-        def best_of(runs, recorder_factory):
-            best = float("inf")
-            for _ in range(runs):
+        best = {"plain": float("inf"), "recorded": float("inf")}
+        for _ in range(7):
+            for side, recorder_factory in (
+                ("plain", lambda: NULL),
+                ("recorded", Recorder),
+            ):
                 recorder = recorder_factory()
+                gc.collect()
                 started = time.perf_counter()
                 pipeline.run(log, recorder=recorder)
-                best = min(best, time.perf_counter() - started)
-            return best
+                elapsed = time.perf_counter() - started
+                best[side] = min(best[side], elapsed)
 
-        plain = best_of(3, lambda: NULL)
-        recorded = best_of(3, Recorder)
+        plain, recorded = best["plain"], best["recorded"]
         assert recorded <= plain * 1.25, (
             f"recorder overhead {recorded / plain - 1.0:.1%} "
             f"(plain {plain:.3f}s, recorded {recorded:.3f}s)"
