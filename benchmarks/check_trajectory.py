@@ -1,7 +1,7 @@
 """Consolidated benchmark-trajectory gate.
 
 Each perf PR in this repo lands with its own benchmark (E22 fast path,
-E25 zero-copy data plane, E27 parse engine v3, E28 parse engine v4)
+E25 zero-copy data plane, E28 parse engine v4)
 and each benchmark asserts its own acceptance
 bars when it runs.  This script is the belt to those braces: it
 re-reads the ``BENCH_*.json`` reports the benchmarks just wrote and
@@ -93,33 +93,6 @@ def check_zerocopy(report):
                 f"parallel-4 only {best:.2f}x vs batch on "
                 f"{section['visible_cpus']} CPUs (bar 3.0x)"
             )
-
-
-@experiment("E27 parse engine v3 — BENCH_parse_v3.json")
-def check_parse_v3(report):
-    cold = report["cold_parse"]
-    bar = 2.0 if report["scale"] >= report["full_scale"] else 1.5
-    if cold["speedup"] < bar:
-        yield (
-            f"cold-parse speedup {cold['speedup']:.2f}x < {bar}x "
-            f"at scale {report['scale']}"
-        )
-    if cold["mismatches"]:
-        yield f"{cold['mismatches']} cold-parse output mismatches vs the v2 flow"
-    warm = report["template_dict"]
-    if warm["preload_hit_rate"] < 0.9:
-        yield (
-            f"only {warm['preloaded']}/{warm['witnesses']} dictionary "
-            f"witnesses preloaded ({warm['preload_hit_rate']:.0%} < 90%)"
-        )
-    if warm["cold_second_run"] != warm["cold_first_run"] - warm["preloaded"]:
-        yield "warm run's cold count is not cold_first − preloaded"
-    for run in report["clean_runs"]:
-        if run["dict_preloaded"] <= 0:
-            yield f"{run['mode']}: executor ignored the template dictionary"
-    yield from _clean_run_bars(
-        report["clean_runs"], "identical_to_reference", "metrics_match_reference"
-    )
 
 
 @experiment("E28 parse engine v4 — BENCH_parse_v4.json")

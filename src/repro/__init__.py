@@ -66,7 +66,7 @@ from .store import (
     write_columnar,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "LogRecord",

@@ -67,7 +67,6 @@ STAGE_COUNTERS = {
         "parse_eager",
         "parse_materialised",
         "parse_cold",
-        "parse_dict_preloaded",
         "interner_size",
     ),
     "mine": ("queries_in", "blocks", "pattern_instances", "periodic_runs"),
@@ -97,10 +96,7 @@ STAGE_COUNTERS = {
 #: out lazy (and how many of those later materialise) depends on which
 #: records each cache instance saw first, so only the ledger-local law
 #: ``parse_lazy_hits + parse_eager == records_out`` is portable.
-#: ``parse_cold`` rides with the cache misses it mirrors, and
-#: ``parse_dict_preloaded`` with how many cache instances a dictionary
-#: was preloaded into (one for batch/streaming, one per worker for
-#: parallel).
+#: ``parse_cold`` rides with the cache misses it mirrors.
 EXECUTOR_DEPENDENT_COUNTERS = {
     "parse": frozenset(
         {
@@ -111,7 +107,6 @@ EXECUTOR_DEPENDENT_COUNTERS = {
             "parse_eager",
             "parse_materialised",
             "parse_cold",
-            "parse_dict_preloaded",
             "interner_size",
         }
     ),

@@ -55,7 +55,6 @@ def clean(
     execution: Optional[Union[ExecutionConfig, str]] = None,
     recorder: Optional[Recorder] = None,
     parse_cache: Optional[bool] = None,
-    template_dict: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> PipelineResult:
@@ -75,16 +74,10 @@ def clean(
     :param parse_cache: overrides the execution config's ``parse_cache``
         flag for this call — ``False`` forces every statement down the
         full parse path (the clean log is identical either way; only
-        speed and the ``parse_cache_*`` counters change).
-    :param template_dict: overrides the execution config's
-        ``template_dict`` path for this call — a persistent template
-        dictionary sidecar the run preloads its parse cache from and
-        (batch / streaming) re-saves on finish.  Witnesses are
-        re-parsed through the run's own cold path, so a stale or
-        corrupt dictionary can only cost speed, never output.  When no
-        dictionary is configured and ``log`` is a columnar store, the
-        store's own template witnesses warm the run instead (stores
-        remember every template they have interned).
+        speed and the ``parse_cache_*`` counters change).  Batch and
+        streaming runs start with an empty parse cache, parallel
+        workers keep theirs between calls; a template enters a cache on
+        its first occurrence in the log, never before.
     :param recorder: observability recorder
         (:class:`repro.obs.Recorder`).  By default a fresh one is
         created, so ``result.metrics`` always carries the run's
@@ -121,7 +114,7 @@ def clean(
         clean_log = result.clean_log
         result.metrics.as_dict()          # per-stage counters + timings
     """
-    from ..store.sources import ColumnarSource, LogSource, as_source
+    from ..store.sources import LogSource, as_source
 
     effective = config or PipelineConfig()
     if execution is not None:
@@ -132,13 +125,6 @@ def clean(
         effective = replace(
             effective,
             execution=replace(effective.execution, parse_cache=parse_cache),
-        )
-    if template_dict is not None:
-        effective = replace(
-            effective,
-            execution=replace(
-                effective.execution, template_dict=str(template_dict)
-            ),
         )
     active = Recorder() if recorder is None else recorder
     metrics = active.metrics if active.enabled else None
@@ -169,25 +155,11 @@ def clean(
             channel=io_channel,
         )
 
-    # Store-auto-warm: a columnar store carries one witness statement
-    # per template it has interned; without an explicit dictionary
-    # those warm this run's parse caches (witnesses re-parse through
-    # the cold path, so this can only ever change speed, not output).
-    template_witnesses: Optional[Sequence[str]] = None
-    if (
-        effective.execution.parse_cache
-        and effective.execution.template_dict is None
-        and isinstance(source, ColumnarSource)
-    ):
-        template_witnesses = source.template_witnesses() or None
-
     try:
         if mode == "batch":
             if source is not None:
                 log = source.read()
-            result = CleaningPipeline(effective).run(
-                log, recorder=active, template_witnesses=template_witnesses
-            )
+            result = CleaningPipeline(effective).run(log, recorder=active)
             if io_channel is not None and io_channel:
                 # Raw-input rejects (rows that never became records)
                 # surface on the result next to the pipeline's own.
@@ -203,11 +175,7 @@ def clean(
 
             if source is None and checkpoint_dir is None:
                 # The classic in-memory streaming path, untouched.
-                cleaner = StreamingCleaner(
-                    effective,
-                    recorder=active,
-                    template_witnesses=template_witnesses,
-                )
+                cleaner = StreamingCleaner(effective, recorder=active)
                 cleaned = cleaner.run(log)
                 return PipelineResult(
                     config=effective,
@@ -230,7 +198,6 @@ def clean(
                 active,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
-                template_witnesses=template_witnesses,
             )
             quarantine = QuarantineChannel()
             if io_channel is not None:
@@ -248,11 +215,7 @@ def clean(
         if mode == "parallel":
             from .parallel import ParallelCleaner
 
-            parallel_cleaner = ParallelCleaner(
-                effective,
-                recorder=active,
-                template_witnesses=template_witnesses,
-            )
+            parallel_cleaner = ParallelCleaner(effective, recorder=active)
             if source is None:
                 cleaned = parallel_cleaner.run(log)
             else:

@@ -72,15 +72,8 @@ class ExecutionConfig:
         reference.
     :param parse_cache_size: maximum number of cached templates per
         cache instance (batch keeps one cache per run; streaming one per
-        pipeline instance; parallel one per shard).
-    :param template_dict: path of a persistent template dictionary
-        sidecar (:meth:`~repro.skeleton.cache.TemplateCache.save_dict`).
-        When set, the run preloads its parse cache from the sidecar
-        before the first record (witness texts are re-parsed through the
-        run's own cold path, so a stale or corrupt dictionary can only
-        cost speed, never output) and batch/streaming runs re-save the
-        dictionary when they finish.  A missing file means a cold first
-        run; the knob is ignored when ``parse_cache`` is off.
+        pipeline instance; parallel one per worker process, kept across
+        runs, or one per shard when shards run inline).
     :param source_chunk_records: records per chunk when a
         :class:`~repro.store.sources.LogSource` is built from a path or
         in-memory log (sources constructed explicitly carry their own
@@ -99,7 +92,6 @@ class ExecutionConfig:
     task_timeout: Optional[float] = None
     parse_cache: bool = True
     parse_cache_size: int = 4096
-    template_dict: Optional[str] = None
     source_chunk_records: int = 8192
 
     def __post_init__(self) -> None:
@@ -132,13 +124,6 @@ class ExecutionConfig:
         if self.parse_cache_size < 1:
             raise ValueError(
                 f"parse_cache_size must be >= 1, got {self.parse_cache_size}"
-            )
-        if self.template_dict is not None and not isinstance(
-            self.template_dict, (str, os.PathLike)
-        ):
-            raise ValueError(
-                "template_dict must be a filesystem path or None, "
-                f"got {self.template_dict!r}"
             )
         if self.source_chunk_records < 1:
             raise ValueError(

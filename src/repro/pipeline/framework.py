@@ -24,8 +24,6 @@ live on the returned :class:`PipelineResult`.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -617,8 +615,6 @@ class CleaningPipeline:
         self,
         log: QueryLog,
         recorder: Optional[Recorder] = None,
-        *,
-        template_witnesses: Optional[Sequence[str]] = None,
     ) -> PipelineResult:
         """Execute all stages of Fig. 1 on ``log``.
 
@@ -626,14 +622,6 @@ class CleaningPipeline:
         default a fresh :class:`~repro.obs.Recorder` is created so the
         result's :attr:`~PipelineResult.metrics` ledger is always
         available (pass :data:`repro.obs.NULL` to opt out entirely).
-
-        ``template_witnesses`` pre-warms the parse cache from the given
-        witness statement texts (see
-        :meth:`~repro.skeleton.cache.TemplateCache.preload`); when
-        absent, the execution config's ``template_dict`` sidecar is
-        loaded instead.  Preloaded template counts are booked as
-        ``parse_dict_preloaded``; the sidecar (if configured) is
-        re-saved when the run finishes.
         """
         config = self.config
         recorder = Recorder() if recorder is None else recorder
@@ -649,22 +637,6 @@ class CleaningPipeline:
             if execution.parse_cache
             else None
         )
-        dict_preloaded = 0
-        if cache is not None:
-            witnesses = template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=config.fold_variables,
-                    strict_triple=config.strict_triple,
-                )
-            if witnesses:
-                dict_preloaded = cache.preload(
-                    witnesses,
-                    fold_variables=config.fold_variables,
-                    strict_triple=config.strict_triple,
-                )
-
         validated = validate_stage(log, config, recorder, channel)
         dedup = dedup_stage(validated, config, recorder)
         parse_result = parse_stage(
@@ -680,19 +652,6 @@ class CleaningPipeline:
         )
         if cache is not None:
             recorder.count("parse", "parse_materialised", cache.materialised)
-            recorder.count("parse", "parse_dict_preloaded", dict_preloaded)
-            if execution.template_dict is not None:
-                try:
-                    cache.save_dict(
-                        execution.template_dict,
-                        fold_variables=config.fold_variables,
-                        strict_triple=config.strict_triple,
-                    )
-                except OSError as exc:
-                    warnings.warn(
-                        "could not save template dict "
-                        f"{os.fspath(execution.template_dict)!r}: {exc}"
-                    )
 
         return PipelineResult(
             config=config,

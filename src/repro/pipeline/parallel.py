@@ -34,13 +34,14 @@ dominates small runs, so pools are reusable: :func:`get_worker_pool`
 parks one :class:`WorkerPool` per worker count in a process-wide
 registry, reused across :func:`repro.clean` calls (disable per run with
 ``execution.pool_reuse=False``).  Each worker keeps a persistent
-:class:`~repro.skeleton.cache.TemplateCache` across shards *and* runs,
-optionally pre-seeded with interned prototypes via
-:func:`set_worker_seed` — outputs stay byte-identical because the cache
-is correctness-checked per hit, only the ``parse_cache_*`` counters
-(executor-dependent by contract) change.  All registry pools are shut
-down atexit; a raising run discards its pool rather than leaving queued
-shards running behind the caller's back.
+:class:`~repro.skeleton.cache.TemplateCache` across shards *and* runs
+(reset whenever the parse knobs change) — outputs stay byte-identical
+because the cache is correctness-checked per hit, only the
+``parse_cache_*`` counters (executor-dependent by contract) change.
+Every worker starts cold: a template enters its cache on first
+occurrence.  All registry pools are shut down atexit; a raising run
+discards its pool rather than leaving queued shards running behind the
+caller's back.
 
 **Fault tolerance.**  The fan-out runs on
 :class:`concurrent.futures.ProcessPoolExecutor` rather than
@@ -301,19 +302,11 @@ def shard_records(
 # Worker-side machinery
 #
 # Everything here is module-level (not closures) so it pickles under
-# every ``multiprocessing`` start method.  The three globals below live
-# in the *worker* processes: the seed is handed to ``_worker_init`` when
-# the pool spawns, the cache persists across shards and runs.
+# every ``multiprocessing`` start method.  The two globals below live
+# in the *worker* processes: the cache persists across shards and runs.
 
-_WORKER_SEED: Optional[Tuple[Tuple[bool, bool], bytes]] = None
 _WORKER_CACHE: Optional[TemplateCache] = None
 _WORKER_CACHE_KEY: Optional[Tuple[int, bool, bool]] = None
-
-
-def _worker_init(seed: Optional[Tuple[Tuple[bool, bool], bytes]] = None) -> None:
-    """Pool initializer: remember the template-cache seed, if any."""
-    global _WORKER_SEED
-    _WORKER_SEED = seed
 
 
 def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
@@ -322,8 +315,7 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
     The cache is keyed by the parse knobs it may legally serve — a
     config change mid-pool resets it rather than risking a stale
     skeleton (see the invariant on
-    :func:`~repro.pipeline.framework.parse_log`).  When a seed matching
-    the knobs is available the first cache of this process starts warm.
+    :func:`~repro.pipeline.framework.parse_log`).
     """
     execution = config.execution
     if not execution.parse_cache:
@@ -335,17 +327,7 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
         config.strict_triple,
     )
     if _WORKER_CACHE is None or _WORKER_CACHE_KEY != key:
-        cache: Optional[TemplateCache] = None
-        if _WORKER_SEED is not None and _WORKER_SEED[0] == key[1:]:
-            try:
-                cache = TemplateCache.from_seed(
-                    _WORKER_SEED[1], max_entries=execution.parse_cache_size
-                )
-            except Exception:  # a bad seed must never fail a shard
-                cache = None
-        if cache is None:
-            cache = TemplateCache(execution.parse_cache_size)
-        _WORKER_CACHE = cache
+        _WORKER_CACHE = TemplateCache(execution.parse_cache_size)
         _WORKER_CACHE_KEY = key
     return _WORKER_CACHE
 
@@ -407,7 +389,6 @@ def _clean_shard_log(
         parse_lazy_hits=parse_counters.get("parse_lazy_hits", 0),
         parse_materialised=parse_counters.get("parse_materialised", 0),
         parse_cold=parse_counters.get("parse_cold", 0),
-        parse_dict_preloaded=parse_counters.get("parse_dict_preloaded", 0),
         interner_size=len(interner),
     )
     return ShardReport(
@@ -425,19 +406,12 @@ def _clean_shard_log(
 
 
 def _clean_shard(
-    payload: Tuple[int, Sequence[LogRecord], PipelineConfig],
-    cache: Optional[TemplateCache] = None,
+    payload: Tuple[int, Sequence[LogRecord], PipelineConfig]
 ) -> ShardReport:
-    """Worker body over plain records (the in-process/inline path).
-
-    Without an explicit ``cache`` each call gets a fresh per-call parse
-    cache by construction, because :func:`parse_stage` builds one when
-    none is passed.  The inline path hands the run's dictionary-warmed
-    cache through here — shared serially across the shards, mirroring
-    the pool path's persistent per-worker cache.
-    """
+    """Worker body over plain records (the in-process/inline path), with
+    a fresh per-call parse cache."""
     shard, records, config = payload
-    return _clean_shard_log(shard, QueryLog(records), config, cache=cache)
+    return _clean_shard_log(shard, QueryLog(records), config)
 
 
 def _clean_shard_encoded(
@@ -456,10 +430,6 @@ def _clean_shard_encoded(
 # ----------------------------------------------------------------------
 # Warm worker pools
 
-#: The template-cache seed handed to newly spawned workers, as
-#: ``((fold_variables, strict_triple), TemplateCache.export_seed())``.
-_POOL_SEED: Optional[Tuple[Tuple[bool, bool], bytes]] = None
-
 #: Process-wide registry of reusable pools, keyed by worker count.
 _POOLS: Dict[int, WorkerPool] = {}
 
@@ -469,7 +439,7 @@ class WorkerPool:
 
     The executor is created lazily on first :meth:`submit` and kept warm
     until :meth:`shutdown` — the whole point is to pay the fork +
-    interpreter + seed cost once, not per ``repro.clean()`` call.
+    interpreter start-up cost once, not per ``repro.clean()`` call.
     :meth:`rebuild` retires a broken executor (crashed or hung workers)
     and provisions a fresh one in place; :attr:`generation` counts how
     many executors this pool has provisioned, so tests can assert a
@@ -480,13 +450,11 @@ class WorkerPool:
         self,
         workers: int,
         *,
-        seed: Optional[Tuple[Tuple[bool, bool], bytes]] = None,
         mp_context=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.seed = seed
         self._mp_context = mp_context or multiprocessing.get_context()
         self._executor: Optional[futures.ProcessPoolExecutor] = None
         #: executors provisioned over this pool's lifetime.
@@ -499,8 +467,6 @@ class WorkerPool:
             self._executor = futures.ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._mp_context,
-                initializer=_worker_init,
-                initargs=(self.seed,),
             )
             self.generation += 1
         return self._executor
@@ -528,13 +494,12 @@ class WorkerPool:
 def get_worker_pool(workers: int) -> WorkerPool:
     """The process-wide reusable pool for ``workers`` worker processes.
 
-    Created (with the current :func:`set_worker_seed` seed) on first
-    request, then returned as-is — callers share the warm workers.  All
-    registry pools are shut down atexit.
+    Created on first request, then returned as-is — callers share the
+    warm workers.  All registry pools are shut down atexit.
     """
     pool = _POOLS.get(workers)
     if pool is None:
-        pool = WorkerPool(workers, seed=_POOL_SEED)
+        pool = WorkerPool(workers)
         _POOLS[workers] = pool
     return pool
 
@@ -557,34 +522,6 @@ def shutdown_worker_pools(wait: bool = True) -> None:
 atexit.register(shutdown_worker_pools)
 
 
-def set_worker_seed(
-    cache: Optional[TemplateCache],
-    *,
-    fold_variables: bool = False,
-    strict_triple: bool = False,
-) -> None:
-    """Pre-seed future pool workers with ``cache``'s interned templates.
-
-    Newly spawned workers start their persistent parse cache from
-    ``cache.export_seed()`` instead of cold, provided the run's
-    ``(fold_variables, strict_triple)`` knobs match the ones declared
-    here (a mismatched seed is ignored — the invariant on
-    :func:`~repro.pipeline.framework.parse_log` forbids sharing caches
-    across knob combinations).  Existing registry pools were spawned
-    under the previous seed and are retired — unless the seed is
-    unchanged (exported seeds are byte-deterministic), in which case the
-    warm pools keep running.  ``set_worker_seed(None)`` clears the seed.
-    """
-    global _POOL_SEED
-    seed = None
-    if cache is not None:
-        seed = ((fold_variables, strict_triple), cache.export_seed())
-    if seed == _POOL_SEED:
-        return
-    _POOL_SEED = seed
-    shutdown_worker_pools(wait=False)
-
-
 class ParallelCleaner:
     """Clean a query log on several CPU cores.
 
@@ -599,7 +536,6 @@ class ParallelCleaner:
         config: Optional[PipelineConfig] = None,
         *,
         recorder: Optional[Recorder] = None,
-        template_witnesses: Optional[Sequence[str]] = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self.recorder = Recorder() if recorder is None else recorder
@@ -608,10 +544,6 @@ class ParallelCleaner:
         )
         #: everything the last run set aside (quarantine policy only).
         self.quarantine = QuarantineChannel()
-        #: witness texts to pre-warm the run's parse caches with; when
-        #: ``None``, the execution config's ``template_dict`` sidecar is
-        #: loaded at :meth:`run` time instead.
-        self._template_witnesses = template_witnesses
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -637,7 +569,6 @@ class ParallelCleaner:
         self,
         payloads: Dict[int, Tuple[int, List[LogRecord], PipelineConfig]],
         quarantine: QuarantineChannel,
-        cache: Optional[TemplateCache] = None,
     ) -> Tuple[List[ShardReport], int, List[int], int]:
         """Run shards in-process (one worker, or nothing to fan out).
 
@@ -656,7 +587,7 @@ class ParallelCleaner:
             while True:
                 attempt += 1
                 try:
-                    reports.append(_clean_shard(payload, cache))
+                    reports.append(_clean_shard(payload))
                     break
                 except RecordFailure:
                     raise  # strict-policy verdict, not a fault — no retry
@@ -708,7 +639,7 @@ class ParallelCleaner:
         if reuse:
             pool = get_worker_pool(workers)
         else:
-            pool = WorkerPool(min(workers, len(payloads)), seed=_POOL_SEED)
+            pool = WorkerPool(min(workers, len(payloads)))
         round_number = 0
         try:
             while pending:
@@ -819,40 +750,10 @@ class ParallelCleaner:
         )
 
     def run(self, log: Iterable[LogRecord]) -> QueryLog:
-        """Shard, fan out, clean, and re-merge into global time order.
-
-        With a template dictionary (explicit witnesses or the execution
-        config's ``template_dict`` sidecar) the run preloads one warmed
-        cache and routes it to the shards: inline runs share it
-        serially, pool runs ship it as the worker seed
-        (:func:`set_worker_seed`), so freshly spawned workers start
-        their persistent cache warm.  The parallel executor never saves
-        the sidecar back — per-worker caches each hold a partition of
-        the run's templates, and merging them would be a second
-        cross-process collection pass; re-save from a batch or
-        streaming run instead.
-        """
+        """Shard, fan out, clean, and re-merge into global time order."""
         execution = self.config.execution
         workers = execution.resolved_workers()
         started = time.perf_counter()
-
-        dict_cache: Optional[TemplateCache] = None
-        dict_preloaded = 0
-        if execution.parse_cache:
-            witnesses = self._template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
-            if witnesses:
-                dict_cache = TemplateCache(execution.parse_cache_size)
-                dict_preloaded = dict_cache.preload(
-                    witnesses,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
 
         shards = shard_records(log, workers, execution.chunk_size)
         payloads = {
@@ -867,19 +768,9 @@ class ParallelCleaner:
         # the fork+pickle tax.
         if workers == 1 or len(payloads) <= 1:
             reports, retried, failed, bytes_shipped = self._run_inline(
-                payloads, quarantine, dict_cache
+                payloads, quarantine
             )
         else:
-            if dict_cache is not None:
-                # A new seed retires existing pools (they were spawned
-                # under the old one) and the next pool's workers start
-                # their persistent caches dictionary-warm; the same seed
-                # again keeps the warm pool.
-                set_worker_seed(
-                    dict_cache,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
             reports, retried, failed, bytes_shipped = self._run_pool(
                 payloads, workers, quarantine
             )
@@ -909,14 +800,6 @@ class ParallelCleaner:
         stats.shards_retried = retried
         stats.shards_failed = len(failed)
         stats.bytes_shipped = bytes_shipped
-        if dict_preloaded:
-            # One preload event for the run's dictionary-warmed cache
-            # (the shards' ledgers never see the preload — it happens
-            # before any record flows).
-            stats.stats.parse_dict_preloaded += dict_preloaded
-            run_metrics.stage("parse").count(
-                "parse_dict_preloaded", dict_preloaded
-            )
         merge_stage = run_metrics.stage("merge")
         merge_stage.wall_seconds += merge_seconds
         merge_stage.calls += 1

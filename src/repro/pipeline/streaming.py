@@ -26,9 +26,7 @@ out of scope here by design — they are downstream consumers.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -83,9 +81,6 @@ class StreamingStats:
     #: statements that went through the full parser (the cold path) —
     #: with the cache enabled this equals ``parse_cache_misses``.
     parse_cold: int = 0
-    #: templates admitted from a persistent template dictionary before
-    #: the first record (see ``ExecutionConfig.template_dict``).
-    parse_dict_preloaded: int = 0
     #: distinct template fingerprints the run's interner assigned ids to
     #: (mirrored from the :class:`~repro.skeleton.interner
     #: .TemplateInterner` at every counter flush).
@@ -115,7 +110,6 @@ class StreamingStats:
         self.parse_lazy_hits += other.parse_lazy_hits
         self.parse_materialised += other.parse_materialised
         self.parse_cold += other.parse_cold
-        self.parse_dict_preloaded += other.parse_dict_preloaded
         # Like the cache counters this sums per-shard distinct counts
         # (shards intern independently); the folded run-level dictionary
         # lives in ParallelStats.interner.
@@ -138,11 +132,6 @@ class StreamingCleaner:
         :func:`~repro.pipeline.framework.clean_block`.  Counters are
         flushed when :meth:`process` finishes — a partially consumed
         stream leaves the ledger behind by design.
-    :param template_witnesses: witness statement texts to pre-warm the
-        parse cache with (see
-        :meth:`~repro.skeleton.cache.TemplateCache.preload`); when
-        absent, the execution config's ``template_dict`` sidecar is
-        loaded instead.  :meth:`finish` re-saves the sidecar.
     """
 
     def __init__(
@@ -150,7 +139,6 @@ class StreamingCleaner:
         config: Optional[PipelineConfig] = None,
         *,
         recorder: Optional[Recorder] = None,
-        template_witnesses: Optional[Iterable[str]] = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self.recorder = Recorder() if recorder is None else recorder
@@ -192,25 +180,6 @@ class StreamingCleaner:
         self._cache_base_misses = 0
         self._cache_base_evictions = 0
         self._cache_base_materialised = 0
-        # Persistent template dictionary: pre-warm from the explicit
-        # witness list, or from the configured sidecar.  The base/own
-        # split keeps the mirrored stat additive across a restore.
-        self._dict_base_preloaded = 0
-        self._dict_preloaded = 0
-        if self._parse_cache is not None:
-            witnesses = template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=self._fold_variables,
-                    strict_triple=self._strict_triple,
-                )
-            if witnesses:
-                self._dict_preloaded = self._parse_cache.preload(
-                    witnesses,
-                    fold_variables=self._fold_variables,
-                    strict_triple=self._strict_triple,
-                )
 
     # ------------------------------------------------------------------
     # Stages
@@ -265,7 +234,7 @@ class StreamingCleaner:
                 self._parse_reject(record, reason, str(error))
             return None
         # Verify the id against *this* run's interner even on a cache
-        # hit — a prewarmed cache may carry another run's ids.
+        # hit, exactly as parse_log does.
         query = rebind_query(
             cached, record, self._intern(cached.template_id)
         )
@@ -455,28 +424,11 @@ class StreamingCleaner:
             recorder.add_seconds("parse", parse_seconds, calls=1)
 
     def finish(self) -> Iterator[LogRecord]:
-        """End the stream: close every open block, flush the counters,
-        and re-save the configured template dictionary sidecar."""
+        """End the stream: close every open block and flush the
+        counters."""
         for user in list(self._open):
             yield from self._emit(self._close_block(user))
-        self._save_dict()
         self._flush_counters()
-
-    def _save_dict(self) -> None:
-        cache = self._parse_cache
-        path = self.config.execution.template_dict
-        if cache is None or path is None:
-            return
-        try:
-            cache.save_dict(
-                path,
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-            )
-        except OSError as exc:
-            warnings.warn(
-                f"could not save template dict {os.fspath(path)!r}: {exc}"
-            )
 
     def _flush_counters(self) -> None:
         """Book the per-record counters accumulated since the last flush.
@@ -504,9 +456,6 @@ class StreamingCleaner:
             self.stats.parse_materialised = (
                 self._cache_base_materialised + cache.materialised
             )
-        self.stats.parse_dict_preloaded = (
-            self._dict_base_preloaded + self._dict_preloaded
-        )
         # Same mirroring for the interner's dictionary size.
         self.stats.interner_size = len(self._interner)
         if not recorder.enabled:
@@ -537,11 +486,6 @@ class StreamingCleaner:
             "parse",
             "parse_cold",
             stats.parse_cold - flushed.parse_cold,
-        )
-        recorder.count(
-            "parse",
-            "parse_dict_preloaded",
-            stats.parse_dict_preloaded - flushed.parse_dict_preloaded,
         )
         recorder.count(
             "parse",
@@ -614,13 +558,6 @@ class StreamingCleaner:
                 self.stats.parse_cache_evictions,
                 self.stats.parse_materialised,
             ],
-            # Witness texts of the interned templates, so a resume
-            # starts with the warm L2 the dead run had earned.
-            "template_dict_witnesses": (
-                self._parse_cache.dict_witnesses()
-                if self._parse_cache is not None
-                else []
-            ),
             "quarantine": self.quarantine.to_state(),
         }
 
@@ -649,23 +586,8 @@ class StreamingCleaner:
         self._cache_base_hits = baseline[0]  # type: ignore[index]
         self._cache_base_misses = baseline[1]  # type: ignore[index]
         self._cache_base_evictions = baseline[2]  # type: ignore[index]
-        # Checkpoints written before the lazy fast path carry a
-        # 3-element baseline; those runs never materialised anything.
-        self._cache_base_materialised = (
-            baseline[3] if len(baseline) > 3 else 0  # type: ignore[index, arg-type]
-        )
+        self._cache_base_materialised = baseline[3]  # type: ignore[index]
         self.quarantine = QuarantineChannel.from_state(state["quarantine"])  # type: ignore[arg-type]
-        # The restored stats already include the dead run's preload
-        # total; rebase so this instance's own preloads stay additive.
-        self._dict_base_preloaded = self.stats.parse_dict_preloaded
-        self._dict_preloaded = 0
-        witnesses = state.get("template_dict_witnesses")
-        if self._parse_cache is not None and witnesses:
-            self._dict_preloaded = self._parse_cache.preload(
-                witnesses,  # type: ignore[arg-type]
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-            )
         self._open = {}
         self._open_count = 0
         for user, record_dicts in state["open"]:  # type: ignore[union-attr]

@@ -58,13 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
-import os
-import pickle
 import re
-import struct
-import warnings
-import zlib
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -99,12 +93,6 @@ from .template import (
 
 #: Default bound of each cache level (distinct texts / distinct keys).
 DEFAULT_PARSE_CACHE_SIZE = 4096
-
-#: Magic prefix + format version of the persistent template-dictionary
-#: sidecar (:meth:`TemplateCache.save_dict`).  Bump the version on any
-#: payload change: :meth:`TemplateCache.load_dict` rejects mismatches.
-_DICT_MAGIC = b"RTD1"
-TEMPLATE_DICT_VERSION = 1
 
 # ----------------------------------------------------------------------
 # Source-order literal traversal
@@ -772,9 +760,9 @@ class TemplateCache:
     """Bounded two-level LRU for the parse fast path.
 
     One instance serves one executor run (batch), one cleaner instance
-    (streaming) or one worker shard (parallel) — instances are picklable
-    so prewarmed caches can cross process boundaries, but they are never
-    shared concurrently.
+    (streaming) or one worker process (parallel, across its shards) —
+    instances are picklable so caches can cross process boundaries, but
+    they are never shared concurrently.
 
     The parse protocol is :meth:`fetch`; on a miss, :meth:`build`; if
     that raises, :meth:`store` of the failure.  Every L2 and raw-memo
@@ -1070,130 +1058,8 @@ class TemplateCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    # Persistent template dictionary (warm-start re-runs)
-    #
-    # The interned template dictionary is a durable artifact of the log:
-    # it is persisted as *witness texts* — one raw prototype SQL string
-    # per interned L2 entry — not as pickled entries.  Loading re-parses
-    # every witness through this cache's own cold path under the current
-    # run's knobs, which IS the witness verification: nothing from the
-    # sidecar is trusted beyond the SQL text, so a stale, corrupt or
-    # even adversarial dictionary can only cost speed, never output.
-
-    def dict_witnesses(self) -> List[str]:
-        """One witness statement text per interned L2 entry."""
-        return [
-            entry.proto.record.sql
-            for entry in self._by_key.values()
-            if type(entry) is _Entry
-        ]
-
-    def save_dict(
-        self,
-        path,
-        *,
-        fold_variables: bool = False,
-        strict_triple: bool = False,
-    ) -> int:
-        """Persist the template dictionary to ``path``; return its size.
-
-        The sidecar is keyed by the cache knobs it was built under plus
-        a format version; :meth:`load_dict` rejects any mismatch.  The
-        write is atomic (tmp file + ``os.replace``), so a crash — even a
-        SIGKILL — mid-save leaves any prior dictionary intact.
-        """
-        witnesses = self.dict_witnesses()
-        payload = {
-            "version": TEMPLATE_DICT_VERSION,
-            "fold_variables": bool(fold_variables),
-            "strict_triple": bool(strict_triple),
-            "witnesses": witnesses,
-        }
-        body = zlib.compress(
-            json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        )
-        blob = _DICT_MAGIC + struct.pack("<I", zlib.crc32(body)) + body
-        target = os.fspath(path)
-        tmp = target + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-        return len(witnesses)
-
-    @staticmethod
-    def load_dict(
-        path,
-        *,
-        fold_variables: bool = False,
-        strict_triple: bool = False,
-    ) -> Optional[List[str]]:
-        """Load witness texts saved by :meth:`save_dict`, or ``None``.
-
-        ``None`` means "start cold".  A missing file is silent (a first
-        run is normal); a knob or version mismatch is rejected cleanly
-        with a warning; a truncated or corrupt sidecar falls back with a
-        warning.  Never raises.
-        """
-        target = os.fspath(path)
-        try:
-            with open(target, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            warnings.warn(
-                f"template dict {target!r} unreadable ({exc}); starting cold"
-            )
-            return None
-        if len(blob) < 8 or blob[:4] != _DICT_MAGIC:
-            warnings.warn(
-                f"template dict {target!r} is not a template dictionary "
-                "(bad magic); starting cold"
-            )
-            return None
-        (crc,) = struct.unpack("<I", blob[4:8])
-        body = blob[8:]
-        if zlib.crc32(body) != crc:
-            warnings.warn(
-                f"template dict {target!r} is truncated or corrupt "
-                "(checksum mismatch); starting cold"
-            )
-            return None
-        try:
-            payload = json.loads(zlib.decompress(body).decode("utf-8"))
-        except (zlib.error, UnicodeDecodeError, ValueError):
-            warnings.warn(
-                f"template dict {target!r} is corrupt (undecodable "
-                "payload); starting cold"
-            )
-            return None
-        version = payload.get("version") if isinstance(payload, dict) else None
-        if version != TEMPLATE_DICT_VERSION:
-            warnings.warn(
-                f"template dict {target!r} has format version {version!r}, "
-                f"expected {TEMPLATE_DICT_VERSION}; starting cold"
-            )
-            return None
-        if payload.get("fold_variables") != bool(fold_variables) or payload.get(
-            "strict_triple"
-        ) != bool(strict_triple):
-            warnings.warn(
-                f"template dict {target!r} was built under different parse "
-                "knobs (fold_variables/strict_triple); starting cold"
-            )
-            return None
-        witnesses = payload.get("witnesses")
-        if not isinstance(witnesses, list) or any(
-            not isinstance(sql, str) for sql in witnesses
-        ):
-            warnings.warn(
-                f"template dict {target!r} carries a malformed witness "
-                "list; starting cold"
-            )
-            return None
-        return witnesses
+    # Preloading — a cache-level primitive for callers that hand their
+    # own cache to parse_log; no executor warms its caches this way.
 
     def preload(
         self,
@@ -1205,7 +1071,7 @@ class TemplateCache:
         """Warm L1/L2/raw by re-parsing ``witnesses`` through the cold path.
 
         Returns the number of witnesses admitted.  Unparsable witnesses
-        (a dictionary from another corpus, say) are skipped.  Counter
+        (witnesses from another corpus, say) are skipped.  Counter
         neutral: hit/miss/eviction totals are restored afterwards, so
         the pipeline's conservation laws only ever see real traffic.
 
@@ -1213,7 +1079,7 @@ class TemplateCache:
         per-witness fetch/build protocol.  Each witness goes straight
         into the single-lex :meth:`build` — the fetch probe ladder
         (L1 → raw memo → L2) exists to *avoid* a cold build, but a
-        dictionary is one witness per template, so every probe would
+        witness list is one text per template, so every probe would
         miss anyway; an exact-text membership check covers the only
         realistic duplicate.  Shared setup is hoisted once per batch:
         the counter snapshot, the bound build method, and a gc
@@ -1252,63 +1118,3 @@ class TemplateCache:
             self._pending = None
             self.hits, self.misses, self.evictions = hits, misses, evictions
         return loaded
-
-    # ------------------------------------------------------------------
-    # Pre-seeding (warm worker pools)
-
-    def export_seed(self) -> bytes:
-        """Snapshot the cache's interned entries as a portable seed.
-
-        The seed is a pickled copy of this cache with its counters
-        zeroed and its pending-miss state cleared — ship it to worker
-        processes (:func:`repro.pipeline.parallel.set_worker_seed`) so
-        their first shard already hits on every template this cache has
-        interned.  The caller owns the correctness contract documented
-        on :func:`~repro.pipeline.framework.parse_log`: a seed must only
-        ever warm caches serving the same ``(fold_variables,
-        strict_triple)`` parse knobs it was built under.
-        """
-        clone = TemplateCache(self.max_entries)
-        # Lazy L1 values hold this cache's materialisation counter; a
-        # seeded cache must count its own, so they stay behind (the
-        # interned L2 entry regenerates them on the first key hit).
-        clone._exact = OrderedDict(
-            (sql, value)
-            for sql, value in self._exact.items()
-            if type(value) is not LazyParsedQuery
-        )
-        clone._by_key = OrderedDict(self._by_key)
-        clone._by_raw = OrderedDict(self._by_raw)
-        return pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_seed(
-        cls, seed: bytes, max_entries: Optional[int] = None
-    ) -> "TemplateCache":
-        """Rebuild a cache from an :meth:`export_seed` blob.
-
-        ``max_entries`` overrides the seed's bound; a smaller bound
-        evicts the seed's least-recently-admitted entries immediately
-        (without charging the eviction counters — the new cache starts
-        with all counters at zero).
-        """
-        cache = pickle.loads(seed)
-        if not isinstance(cache, cls):
-            raise TypeError(
-                f"seed does not contain a {cls.__name__} "
-                f"(got {type(cache).__name__})"
-            )
-        cache.hits = 0
-        cache.misses = 0
-        cache.evictions = 0
-        cache._lazy_stats = _LazyStats()
-        cache._pending = None
-        if max_entries is not None and max_entries >= 1:
-            cache.max_entries = max_entries
-            while len(cache._exact) > max_entries:
-                cache._exact.popitem(last=False)
-            while len(cache._by_key) > max_entries:
-                cache._by_key.popitem(last=False)
-            while len(cache._by_raw) > max_entries:
-                cache._by_raw.popitem(last=False)
-        return cache

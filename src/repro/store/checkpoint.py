@@ -47,7 +47,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..log.io import record_as_dict, record_from_dict
 from ..log.models import LogRecord, QueryLog
@@ -59,7 +59,7 @@ from .sources import LogSource
 PathLike = Union[str, Path]
 
 #: Bumped whenever the state layout changes incompatibly.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -188,7 +188,6 @@ def clean_streaming_source(
     *,
     checkpoint_dir: Optional[PathLike] = None,
     resume: bool = False,
-    template_witnesses: Optional[Sequence[str]] = None,
 ) -> Tuple[QueryLog, StreamingCleaner]:
     """Stream-clean ``source`` chunk by chunk, optionally checkpointed.
 
@@ -199,15 +198,8 @@ def clean_streaming_source(
     with ``resume=True`` the run continues from the last completed
     chunk.  Returns the clean log and the driving cleaner (for its
     ``stats`` and ``quarantine``).
-
-    ``template_witnesses`` pre-warms the cleaner's parse cache (see
-    :class:`~repro.pipeline.streaming.StreamingCleaner`); a resumed run
-    additionally preloads the witness list its checkpoint carried, so
-    the restored cache is as warm as the dead run's was.
     """
-    cleaner = StreamingCleaner(
-        config, recorder=recorder, template_witnesses=template_witnesses
-    )
+    cleaner = StreamingCleaner(config, recorder=recorder)
     checkpoint = (
         RunCheckpoint(checkpoint_dir) if checkpoint_dir is not None else None
     )

@@ -34,12 +34,11 @@ The round trip is the exact inverse of the extraction, so
 
 Since parse engine v3 ``templates.bin`` additionally carries one
 **witness** statement per template — the first record text that interned
-it.  :func:`load_template_witnesses` hands these to the parse engine's
-template-dictionary preload
-(:meth:`repro.skeleton.cache.TemplateCache.preload`), so re-cleaning a
-store the pipeline has seen before starts with a warm parse cache.
-Witnesses are re-parsed on load, never trusted, so they affect speed
-only; stores written before v3 simply yield no witnesses.
+it.  Witnesses are store metadata, read back by
+:func:`load_template_witnesses`; the cleaning pipeline does not warm its
+parse caches from them (a preload costs one cold build per template,
+the same build the template's first occurrence pays anyway).  Stores
+written before v3 simply yield no witnesses.
 
 Every file is written atomically (temp file + ``os.replace``) and the
 manifest is written **last**, so a directory with a manifest is always a
@@ -328,11 +327,8 @@ def load_templates(path: PathLike) -> List[str]:
 def load_template_witnesses(path: PathLike) -> List[str]:
     """One first-seen witness statement text per store template.
 
-    Feed these to
-    :meth:`repro.skeleton.cache.TemplateCache.preload` to warm-start a
-    re-run over the store.  Empty for stores written before parse
-    engine v3 — the reader treats witnesses as an optional acceleration
-    layer, never a requirement.
+    Empty for stores written before parse engine v3 — witnesses are
+    optional metadata, never a requirement for reading the store.
     """
     payload = _load_compressed(Path(path) / "templates.bin")
     if isinstance(payload, dict):

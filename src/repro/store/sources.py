@@ -232,7 +232,7 @@ class ColumnarSource(LogSource):
         except (OSError, ValueError, KeyError, zlib.error):
             # A store with a damaged dictionary still *reads* (chunks
             # carrying verbatim statements don't touch it); witnesses
-            # are an acceleration layer, so degrade to a cold start.
+            # are optional metadata, so degrade to none.
             return []
 
 

@@ -7,6 +7,7 @@ from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
 from repro.pipeline import ExecutionConfig, PipelineConfig
 from repro.pipeline.streaming import StreamingCleaner
+from repro.skeleton.cache import TemplateCache
 
 KEYS = frozenset({"empid", "id", "objid"})
 
@@ -125,3 +126,13 @@ class TestExports:
             repro.clean(stifle_log(), transfer="pickle")
         with pytest.raises(TypeError):
             ExecutionConfig(mode="parallel", transfer="pickle")
+        # No cache warming: the template dictionary and worker seeds.
+        with pytest.raises(TypeError):
+            repro.clean(stifle_log(), template_dict="templates.dict")
+        with pytest.raises(TypeError):
+            ExecutionConfig(template_dict="templates.dict")
+        assert not hasattr(repro.pipeline, "set_worker_seed")
+        for name in ("save_dict", "load_dict", "dict_witnesses",
+                     "export_seed", "from_seed"):
+            assert not hasattr(TemplateCache, name), name
+        assert hasattr(TemplateCache, "preload")

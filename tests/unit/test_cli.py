@@ -39,6 +39,21 @@ class TestClean:
         out = capsys.readouterr().out
         assert "Size of original query log" in out
 
+    def test_template_dict_flag_is_rejected(self, generated_csv, tmp_path):
+        # The template-dictionary sidecar is gone; argparse must refuse
+        # the flag rather than silently ignore it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "clean",
+                    str(generated_csv),
+                    "--template-dict",
+                    str(tmp_path / "templates.dict"),
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "templates.dict").exists()
+
     def test_clean_writes_output(self, generated_csv, tmp_path, capsys):
         out_path = tmp_path / "clean.csv"
         assert (

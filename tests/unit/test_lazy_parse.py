@@ -5,8 +5,8 @@ A :class:`TemplateCache` answers L2 fingerprint hits with
 interned skeleton facts and the constant vector; SQL text, AST and
 clause features bind on first access.  These tests pin the binding
 rules, the equality contract against fully built queries, the
-materialisation counter, and the cache-lifecycle hygiene (seed export,
-pickling) the executors rely on.
+materialisation counter, and the cache-lifecycle hygiene (pickling)
+the executors rely on.
 """
 
 import pickle
@@ -161,11 +161,11 @@ class TestRebind:
 
 
 class TestCacheLifecycle:
-    def test_seed_round_trip_serves_lazy_from_l2(self, lazy_hit):
+    def test_pickle_round_trip_serves_lazy_from_l2(self, lazy_hit):
         cache, _, _ = lazy_hit
-        revived = TemplateCache.from_seed(cache.export_seed())
+        revived = pickle.loads(pickle.dumps(cache))
         assert revived.materialised == 0
-        rec = record(4, SQL_B)
+        rec = record(4, SQL_B.replace("9.25", "7.5"))  # a new L2 member
         query = revived.fetch(rec)
         assert type(query) is LazyParsedQuery
         assert query == fresh_parse(rec)

@@ -16,6 +16,7 @@ from repro.store.columnar import (
     encode_sql,
     is_columnar_store,
     iter_columnar_chunks,
+    load_template_witnesses,
     load_templates,
     read_manifest,
     store_size_bytes,
@@ -127,6 +128,29 @@ class TestStoreRoundTrip:
         store = tmp_path / "log.columnar"
         write_columnar(sample_records(), store)
         assert store_size_bytes(store) > 0
+
+
+class TestTemplateWitnesses:
+    """Witnesses are store metadata: the first statement per template."""
+
+    def test_one_first_seen_witness_per_template(self, tmp_path):
+        store = tmp_path / "log.columnar"
+        write_columnar(sample_records(), store)
+        witnesses = ColumnarSource(store).template_witnesses()
+        assert witnesses == load_template_witnesses(store)
+        # Records 0 and 1 share a template; its witness is record 0.
+        assert len(witnesses) == len(load_templates(store))
+        assert witnesses == [
+            "SELECT a FROM t WHERE id = 7",
+            "SELECT 'it''s' FROM t",
+            "SELEKT not sql at all !!",
+        ]
+
+    def test_damaged_templates_bin_yields_no_witnesses(self, tmp_path):
+        store = tmp_path / "log.columnar"
+        write_columnar(sample_records(), store)
+        (store / "templates.bin").write_bytes(b"damaged")
+        assert ColumnarSource(store).template_witnesses() == []
 
 
 class TestCrashSafety:

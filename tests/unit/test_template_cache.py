@@ -144,6 +144,33 @@ class TestTemplateCacheMechanics:
         assert len(cache) == 0 and cache.key_entries == 0
 
 
+class TestPreload:
+    """``preload`` warms a caller-owned cache from witness texts."""
+
+    WITNESSES = [
+        "SELECT a FROM t WHERE b = 1",
+        "SELECT name FROM employee WHERE empid = 8",
+        "SELECT x FROM t WHERE name = 'abc' AND k IN (1, 2, 3)",
+        "SELECT TOP 10 a FROM t WHERE b BETWEEN 1 AND 2 ORDER BY a DESC",
+    ]
+
+    def test_preload_is_counter_neutral_and_hits_afterwards(self):
+        fresh = TemplateCache()
+        loaded = fresh.preload(self.WITNESSES)
+        assert loaded == len(self.WITNESSES)
+        # Warming must not pollute the run's cache-traffic ledger.
+        assert fresh.hits == 0 and fresh.misses == 0
+        # Re-fetching a witness's sibling is now a hit, not a cold parse.
+        sibling = record("SELECT a FROM t WHERE b = 999", seq=50)
+        assert fresh.fetch(sibling) is not None
+        assert fresh.hits == 1 and fresh.misses == 0
+
+    def test_unparseable_witnesses_are_skipped(self):
+        cache = TemplateCache()
+        loaded = cache.preload(["SELECT '", "SELECT a FROM t WHERE b = 1"])
+        assert loaded == 1
+
+
 class TestUnsafeFallback:
     @pytest.mark.parametrize(
         "proto_sql, member_sql",

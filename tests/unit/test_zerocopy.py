@@ -1,12 +1,10 @@
 """Unit tests for the parallel data plane.
 
-Four pieces, bottom up: the shard payload
-(:func:`repro.store.columnar.encode_shard` / ``decode_shard``), the
-template-cache seed transport
-(:meth:`repro.skeleton.cache.TemplateCache.export_seed`), the warm
+Three pieces, bottom up: the shard payload
+(:func:`repro.store.columnar.encode_shard` / ``decode_shard``), the warm
 :class:`repro.pipeline.parallel.WorkerPool` registry, and the adaptive
-shard planner — plus an end-to-end check that a seeded pool's workers
-really start their parse caches warm.
+shard planner — plus an end-to-end check that a warm pool's workers
+reset their persistent parse caches when the parse knobs change.
 """
 
 from __future__ import annotations
@@ -18,18 +16,14 @@ import pytest
 
 import repro
 from repro.log import LogRecord, QueryLog
-from repro.obs import Recorder
 from repro.pipeline import ExecutionConfig, PipelineConfig
-from repro.pipeline.framework import parse_log
 from repro.pipeline.parallel import (
     WorkerPool,
     discard_worker_pool,
     get_worker_pool,
-    set_worker_seed,
     shard_records,
     shutdown_worker_pools,
 )
-from repro.skeleton.cache import TemplateCache
 from repro.store.columnar import decode_shard, encode_shard
 
 
@@ -108,50 +102,6 @@ class TestShardCodec:
 
 
 # ----------------------------------------------------------------------
-# Template-cache seed transport
-
-
-def _seeded_cache(records):
-    cache = TemplateCache()
-    parse_log(records, cache=cache, recorder=Recorder())
-    return cache
-
-
-class TestCacheSeed:
-    def test_from_seed_restores_templates_with_zeroed_counters(self):
-        records = sample_records()
-        cache = _seeded_cache(records)
-        assert len(cache) > 0 and cache.misses > 0
-
-        warm = TemplateCache.from_seed(cache.export_seed())
-        assert len(warm) == len(cache)
-        assert warm.key_entries == cache.key_entries
-        assert (warm.hits, warm.misses, warm.evictions) == (0, 0, 0)
-        # every statement the donor saw is a hit in the restored cache
-        for rec in records:
-            assert warm.fetch(rec) is not None
-        assert warm.misses == 0
-
-    def test_from_seed_trims_to_smaller_capacity(self):
-        cache = _seeded_cache(
-            [
-                record(i, f"SELECT c{i} FROM t{i} WHERE a = {i}")
-                for i in range(6)
-            ]
-        )
-        assert len(cache) == 6
-        warm = TemplateCache.from_seed(cache.export_seed(), max_entries=2)
-        assert len(warm) <= 2
-        assert warm.key_entries <= 2
-
-    def test_from_seed_rejects_garbage(self):
-        import pickle
-
-        with pytest.raises(Exception):
-            TemplateCache.from_seed(pickle.dumps({"not": "a cache"}))
-
-
-# ----------------------------------------------------------------------
 # Warm pool registry
 
 
@@ -159,7 +109,6 @@ class TestCacheSeed:
 def pool_registry():
     shutdown_worker_pools()
     yield
-    set_worker_seed(None)
     shutdown_worker_pools()
 
 
@@ -238,66 +187,67 @@ class TestAdaptiveSharding:
 
 
 # ----------------------------------------------------------------------
-# Seeded pools, end to end
+# Warm pools, end to end
 
 
-class TestSeededPoolEndToEnd:
-    def test_seeded_workers_start_their_parse_cache_warm(self, pool_registry):
-        records = [
-            record(
-                i,
-                f"SELECT name FROM Employee WHERE empId = {i % 9}",
-                user=f"user{i % 8}",
-            )
-            for i in range(160)
-        ]
-        log = QueryLog(records)
-        execution = ExecutionConfig(mode="parallel", workers=2, chunk_size=40)
+def knob_log():
+    """Eight users cycling through templates that every parse knob
+    touches: a ``@variable`` (``fold_variables``), ORDER BY and TOP
+    (``strict_triple``), and a Stifle-shaped key lookup to solve."""
+    shapes = (
+        "SELECT name FROM Employee WHERE empId = {n}",
+        "SELECT TOP 5 a FROM t WHERE b = {n} ORDER BY a DESC",
+        "SELECT ra FROM PhotoObj WHERE objID = @id AND type = {n}",
+    )
+    return QueryLog(
+        record(
+            i,
+            shapes[i % len(shapes)].format(n=i % 7),
+            user=f"user{i % 8}",
+        )
+        for i in range(240)
+    )
 
-        cold = repro.clean(log, PipelineConfig(), execution=execution)
-        assert cold.parallel_stats.stats.parse_cache_misses > 0
 
-        set_worker_seed(_seeded_cache(records))
-        warm = repro.clean(log, PipelineConfig(), execution=execution)
-        pstats = warm.parallel_stats.stats
-        assert pstats.parse_cache_misses == 0
-        assert pstats.parse_cache_hits > 0
-        # seeding is a pure speed knob: the output is byte-identical
-        assert warm.clean_log == cold.clean_log
-        assert warm.metrics.comparable() == cold.metrics.comparable()
+class TestWorkerCacheReset:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"fold_variables": True},
+            {"strict_triple": True},
+            {"parse_cache_size": 64},
+        ],
+        ids=["fold_variables", "strict_triple", "parse_cache_size"],
+    )
+    def test_a_knob_change_resets_the_worker_caches(self, pool_registry, knob):
+        log = knob_log()
+        execution = ExecutionConfig(mode="parallel", workers=2, chunk_size=30)
+        # Warm the registry pool until a default run is served entirely
+        # from the workers' persistent caches.
+        for _ in range(5):
+            warm = repro.clean(log, PipelineConfig(), execution=execution)
+            if warm.parallel_stats.stats.parse_cache_misses == 0:
+                break
+        assert warm.parallel_stats.stats.parse_cache_misses == 0
 
-    def test_mismatched_seed_knobs_are_ignored(self, pool_registry):
-        records = sample_records(count=120, users=8)
-        log = QueryLog(records)
-        # the seed declares fold_variables=True; the run uses defaults —
-        # workers must fall back to a cold cache, not serve stale skeletons
-        set_worker_seed(_seeded_cache(records), fold_variables=True)
-        result = repro.clean(
+        knob = dict(knob)
+        size = knob.pop("parse_cache_size", execution.parse_cache_size)
+        config = PipelineConfig(**knob)
+        changed = repro.clean(
             log,
-            PipelineConfig(),
-            execution=ExecutionConfig(mode="parallel", workers=2, chunk_size=30),
+            config,
+            execution=ExecutionConfig(
+                mode="parallel",
+                workers=2,
+                chunk_size=30,
+                parse_cache_size=size,
+            ),
         )
-        assert result.parallel_stats.stats.parse_cache_misses > 0
-        assert result.metrics.conservation_violations() == []
-
-    def test_dictionary_warmed_runs_reuse_the_warm_pool(
-        self, pool_registry, tmp_path
-    ):
-        records = sample_records(count=160, users=8)
-        log = QueryLog(records)
-        path = tmp_path / "templates.dict"
-        _seeded_cache(records).save_dict(path)
-        execution = ExecutionConfig(
-            mode="parallel", workers=2, chunk_size=40, template_dict=str(path)
+        reference = repro.clean(
+            log, config, execution=ExecutionConfig(parse_cache=False)
         )
-
-        first = repro.clean(log, PipelineConfig(), execution=execution)
-        pool = get_worker_pool(2)
-        generation = pool.generation
-        assert generation >= 1
-        # the same dictionary exports the same seed: no pool refork
-        second = repro.clean(log, PipelineConfig(), execution=execution)
-        assert get_worker_pool(2) is pool
-        assert pool.generation == generation
-        assert second.clean_log == first.clean_log
-        assert second.parallel_stats.stats.parse_cache_misses == 0
+        assert changed.clean_log.records() == reference.clean_log.records()
+        assert changed.metrics.comparable() == reference.metrics.comparable()
+        assert changed.metrics.conservation_violations() == []
+        # A reused cache would serve every template from the warm run.
+        assert changed.parallel_stats.stats.parse_cache_misses > 0
